@@ -51,7 +51,6 @@ use wsync_stats::{OnlineStats, Summary};
 use crate::good_samaritan::GoodSamaritanConfig;
 use crate::report::SyncOutcome;
 use crate::runner::{good_samaritan_component, trapdoor_component, Scenario};
-use crate::sim::Sim;
 use crate::spec::ComponentSpec;
 use crate::trapdoor::TrapdoorConfig;
 
@@ -63,7 +62,7 @@ use crate::trapdoor::TrapdoorConfig;
 /// to name a built-in protocol and converts into the registry's
 /// [`ComponentSpec`] form via [`Into`]. Protocols added by downstream
 /// crates have no variant here — address them by name through
-/// [`Sim`].
+/// [`Sim`](crate::sim::Sim).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ProtocolKind {
     /// The Trapdoor Protocol with default constants.
@@ -95,17 +94,6 @@ impl ProtocolKind {
             ProtocolKind::RoundRobin => ComponentSpec::named("round-robin"),
             ProtocolKind::SingleFrequency => ComponentSpec::named("single-frequency"),
         }
-    }
-
-    /// Runs one trial of this protocol on `scenario` with `seed`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, kind.to_component())?.run_one(seed)`"
-    )]
-    pub fn run_trial(&self, scenario: &Scenario, seed: u64) -> SyncOutcome {
-        Sim::from_scenario(scenario, self.to_component())
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-            .run_one(seed)
     }
 
     /// A short name for experiment tables.
@@ -404,40 +392,6 @@ impl BatchRunner {
     {
         self.map(seeds, |seed| trial(scenario, seed))
     }
-
-    /// Runs `protocol` on `scenario` for every seed and returns the
-    /// outcomes in seed order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, protocol.to_component())?.seeds(seeds).run(&runner)`"
-    )]
-    pub fn run(
-        &self,
-        scenario: &Scenario,
-        protocol: &ProtocolKind,
-        seeds: Range<u64>,
-    ) -> Vec<SyncOutcome> {
-        Sim::from_scenario(scenario, protocol.to_component())
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-            .seeds(seeds)
-            .run(self)
-    }
-
-    /// Runs `protocol` on `scenario` for every seed and folds the outcomes
-    /// directly into [`BatchStats`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, protocol.to_component())?.seeds(seeds).run_stats(&runner)`"
-    )]
-    pub fn run_stats(
-        &self,
-        scenario: &Scenario,
-        protocol: &ProtocolKind,
-        seeds: Range<u64>,
-    ) -> BatchStats {
-        #[allow(deprecated)]
-        BatchStats::aggregate(&self.run(scenario, protocol, seeds))
-    }
 }
 
 /// Aggregate statistics over a batch of [`SyncOutcome`]s.
@@ -593,6 +547,7 @@ impl BatchStatsFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
     use crate::spec::ScenarioSpec;
 
     fn spec() -> ScenarioSpec {
@@ -777,17 +732,6 @@ mod tests {
             assert_eq!(outcomes.len(), 2);
             assert!(!kind.name().is_empty());
             assert_eq!(kind.to_component().name(), kind.name());
-            // the deprecated wrappers produce identical outcomes
-            #[allow(deprecated)]
-            let legacy = kind.run_trial(&scenario, 0);
-            assert_eq!(outcomes[0], legacy);
-            #[allow(deprecated)]
-            let legacy_batch = BatchRunner::with_workers(2).run(&scenario, kind, 0..2);
-            assert_eq!(outcomes, legacy_batch);
-            // the deprecated stats wrapper folds to identical aggregates
-            #[allow(deprecated)]
-            let legacy_stats = BatchRunner::with_workers(2).run_stats(&scenario, kind, 0..2);
-            assert_eq!(legacy_stats, BatchStats::aggregate(&outcomes));
         }
     }
 

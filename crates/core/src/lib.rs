@@ -94,19 +94,11 @@ pub mod prelude {
     pub use crate::registry::{ProbeOutput, Registry, SimProbe};
     pub use crate::report::SyncOutcome;
     pub use crate::runner::{run_protocol, AdversaryKind, Scenario, SyncProtocol};
-    // The deprecated shorthands stay importable so pre-registry code keeps
-    // compiling (with a deprecation warning at the call site, not a break).
-    #[allow(deprecated)]
-    pub use crate::runner::{
-        run_good_samaritan, run_good_samaritan_with, run_round_robin, run_single_frequency,
-        run_trapdoor, run_trapdoor_with, run_wakeup,
-    };
     pub use crate::sim::{ProbedOutcome, Sim};
     pub use crate::spec::{ComponentSpec, ScenarioSpec, SpecError, SweepSpec};
     pub use crate::store::ResultStore;
     pub use crate::sweep::{
-        estimate_rare_event, PointStats, StopMetric, StopReason, StoppingRule, SweepReport,
-        SweepRunner,
+        PointStats, StopMetric, StopReason, StoppingRule, SweepReport, SweepRunner,
     };
     pub use crate::timestamp::Timestamp;
     pub use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol, TrapdoorRole};

@@ -3,7 +3,7 @@
 //! A [`Scenario`] describes one synchronization setting — how many devices,
 //! how many frequencies, the disruption bound, which adversary (by registry
 //! name, see [`crate::registry`]), and the activation schedule. The primary
-//! way to execute one is the [`Sim`] builder:
+//! way to execute one is the [`Sim`](crate::sim::Sim) builder:
 //!
 //! ```
 //! use wsync_core::sim::Sim;
@@ -17,8 +17,7 @@
 //!
 //! [`run_protocol`] remains the statically-typed escape hatch for custom
 //! protocol types that are not registered (e.g. the fault-tolerance
-//! crash wrapper); the per-protocol `run_*` shorthands are deprecated thin
-//! wrappers over the registry path.
+//! crash wrapper).
 
 use wsync_radio::activation::ActivationSchedule;
 use wsync_radio::adversary::{Adversary, DisruptionSet};
@@ -38,7 +37,6 @@ use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
 use crate::params::next_power_of_two;
 use crate::registry;
 use crate::report::SyncOutcome;
-use crate::sim::Sim;
 use crate::spec::ComponentSpec;
 use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 
@@ -97,8 +95,8 @@ impl SyncProtocol for RoundRobinProtocol {
 /// (`scenario.with_adversary(AdversaryKind::Random)`) and converts into the
 /// registry's [`ComponentSpec`] form via [`Into`]. Adversaries added by
 /// downstream crates have no variant here — they are addressed by name —
-/// which is exactly why the `build` method here is deprecated in favour of
-/// the registry.
+/// which is why building one goes through the registry
+/// (`registry::build_adversary(&kind.to_component(), scenario, seed)`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AdversaryKind {
     /// No disruption at all.
@@ -154,16 +152,6 @@ impl AdversaryKind {
             }
             other => ComponentSpec::named(other.name()),
         }
-    }
-
-    /// Instantiates the adversary for a given scenario and seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "resolve through the registry instead: `registry::build_adversary(&kind.to_component(), scenario, seed)`"
-    )]
-    pub fn build(&self, scenario: &Scenario, seed: u64) -> BoxedAdversary {
-        registry::build_adversary(&self.to_component(), scenario, seed)
-            .expect("built-in adversaries always resolve against the default registry")
     }
 }
 
@@ -371,7 +359,7 @@ where
 
 /// Builds the fault layers a scenario declares, resolving names against the
 /// process-global registry. Panics on an unknown name or bad parameters —
-/// callers on the validated [`Sim`] path build layers from factories
+/// callers on the validated [`Sim`](crate::sim::Sim) path build layers from factories
 /// resolved at construction instead.
 pub(crate) fn build_scenario_faults(scenario: &Scenario) -> Vec<Box<dyn FaultLayer>> {
     scenario
@@ -463,12 +451,6 @@ where
     execute(scenario, factory, adversary, seed)
 }
 
-fn run_named(scenario: &Scenario, protocol: impl Into<ComponentSpec>, seed: u64) -> SyncOutcome {
-    Sim::from_scenario(scenario, protocol)
-        .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-        .run_one(seed)
-}
-
 /// The registry parameters equivalent to an explicit [`TrapdoorConfig`].
 pub fn trapdoor_component(config: &TrapdoorConfig) -> ComponentSpec {
     let mut component = ComponentSpec::named("trapdoor")
@@ -503,76 +485,16 @@ pub fn good_samaritan_component(config: &GoodSamaritanConfig) -> ComponentSpec {
         )
 }
 
-/// Runs the Trapdoor Protocol (default constants) on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"trapdoor\")` or a ScenarioSpec"
-)]
-pub fn run_trapdoor(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "trapdoor", seed)
-}
-
-/// Runs the Trapdoor Protocol with an explicit configuration on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, trapdoor_component(&config))`"
-)]
-pub fn run_trapdoor_with(scenario: &Scenario, config: TrapdoorConfig, seed: u64) -> SyncOutcome {
-    run_named(scenario, trapdoor_component(&config), seed)
-}
-
-/// Runs the Good Samaritan Protocol (default constants) on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"good-samaritan\")` or a ScenarioSpec"
-)]
-pub fn run_good_samaritan(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "good-samaritan", seed)
-}
-
-/// Runs the Good Samaritan Protocol with an explicit configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, good_samaritan_component(&config))`"
-)]
-pub fn run_good_samaritan_with(
-    scenario: &Scenario,
-    config: GoodSamaritanConfig,
-    seed: u64,
-) -> SyncOutcome {
-    run_named(scenario, good_samaritan_component(&config), seed)
-}
-
-/// Runs the wake-up-style baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"wakeup\")` or a ScenarioSpec"
-)]
-pub fn run_wakeup(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "wakeup", seed)
-}
-
-/// Runs the deterministic round-robin hopping baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"round-robin\")` or a ScenarioSpec"
-)]
-pub fn run_round_robin(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "round-robin", seed)
-}
-
-/// Runs the single-frequency Trapdoor baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"single-frequency\")` or a ScenarioSpec"
-)]
-pub fn run_single_frequency(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "single-frequency", seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
+
+    fn run_named(scenario: &Scenario, protocol: &str, seed: u64) -> SyncOutcome {
+        Sim::from_scenario(scenario, protocol)
+            .unwrap()
+            .run_one(seed)
+    }
 
     #[test]
     fn scenario_defaults() {
@@ -606,11 +528,6 @@ mod tests {
             let band = FrequencyBand::new(8);
             let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
             assert!(set.len() <= 8);
-            // the deprecated wrapper builds the identical adversary
-            #[allow(deprecated)]
-            let mut legacy = kind.build(&s, 1);
-            let legacy_set = legacy.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
-            assert_eq!(set, legacy_set);
         }
     }
 
@@ -622,15 +539,6 @@ mod tests {
         assert_eq!(outcome.leaders, 1);
         assert!(outcome.properties.all_hold());
         assert!(outcome.is_clean());
-    }
-
-    #[test]
-    fn deprecated_shorthands_match_the_registry_path() {
-        let scenario = Scenario::new(8, 8, 2).with_adversary(AdversaryKind::Random);
-        #[allow(deprecated)]
-        let legacy = run_trapdoor(&scenario, 11);
-        let registry_path = run_named(&scenario, "trapdoor", 11);
-        assert_eq!(legacy, registry_path);
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! names resolve against the [`registry`], their
 //! parameters are type-checked, and the instance passes
 //! `SimConfig::validate` — so a bad spec is a typed [`SpecError`] at build
-//! time, never a panic mid-run. The deprecated `run_*` shorthands,
-//! `run_trial` on `ProtocolKind`, and `BatchRunner::run` are all thin wrappers
-//! over this type.
+//! time, never a panic mid-run.
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -43,8 +43,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use wsync_stats::{
-    dominated, quantiles, splitting_estimate, table::fmt_f64, wilson_ci, CiUndefined,
-    ConfidenceInterval, SplittingConfig, SplittingEstimate, Table,
+    dominated, quantiles, table::fmt_f64, wilson_ci, CiUndefined, ConfidenceInterval, Table,
 };
 
 use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
@@ -110,10 +109,10 @@ pub struct PointStats {
     /// Trials executed by the engine in this run.
     pub executed: u64,
     /// Whether the point stopped before consuming the sweep's full seed
-    /// budget (always `false` on fixed-count paths).
+    /// budget (always `false` without a stopping rule).
     pub stopped_early: bool,
-    /// Why the point stopped sampling. `None` on fixed-count paths; on
-    /// adaptive paths every point carries a reason —
+    /// Why the point stopped sampling. `None` without a stopping rule;
+    /// with one every point carries a reason —
     /// [`StopReason::Exhausted`] when the budget ran out first.
     pub stop: Option<StopReason>,
 }
@@ -595,16 +594,125 @@ impl StoppingRule {
     }
 }
 
-/// Which trials of a sweep run with their spec's declared probes
-/// attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeSeeds {
-    /// No trial is probed.
-    None,
-    /// Every executed trial is probed.
-    All,
-    /// Only each point's first seed is probed.
-    FirstOnly,
+/// The batch schedule every sweep driver walks: the seed windows trials
+/// run in, each grid point's seed cap, and the stop decisions taken at
+/// window boundaries.
+///
+/// With a [`StoppingRule`] the range is cut into `rule.batch`-seed windows
+/// and [`decide`](Self::decide) applies [`StoppingRule::decide_batch`] at
+/// each boundary. Without one the plan is degenerate: a single window over
+/// the whole range, no decision and no stop fields — a fixed seed count is
+/// a plan that never stops. The in-process runner and the fabric workers
+/// both drive this one plan, so they agree on windows and verdicts by
+/// construction.
+#[derive(Debug)]
+pub(crate) struct TrialPlan<'a> {
+    rule: Option<&'a StoppingRule>,
+    seeds: Range<u64>,
+    next: u64,
+    /// Per-point seed cap (exclusive): the range end until a verdict
+    /// tightens it to the boundary the point stopped at.
+    limit: Vec<u64>,
+    stopped: Vec<Option<StopReason>>,
+}
+
+impl<'a> TrialPlan<'a> {
+    /// A plan for `points` grid points over `seeds` (the *effective* range,
+    /// see [`SweepSpec::effective_seeds`]).
+    pub(crate) fn new(points: usize, seeds: Range<u64>, rule: Option<&'a StoppingRule>) -> Self {
+        TrialPlan {
+            rule,
+            next: seeds.start,
+            limit: vec![seeds.end; points],
+            stopped: vec![None; points],
+            seeds,
+        }
+    }
+
+    /// The next seed window, or `None` once the range is exhausted or
+    /// every point has stopped.
+    pub(crate) fn next_window(&mut self) -> Option<Range<u64>> {
+        if self.next >= self.seeds.end || self.stopped.iter().all(Option::is_some) {
+            return None;
+        }
+        let end = match self.rule {
+            None => self.seeds.end,
+            Some(rule) => self.seeds.end.min(self.next + rule.batch),
+        };
+        let window = self.next..end;
+        self.next = end;
+        Some(window)
+    }
+
+    /// The seeds of `window` that `point` still owes (empty once its cap
+    /// lies at or below the window start).
+    pub(crate) fn seeds_in(&self, point: usize, window: &Range<u64>) -> Range<u64> {
+        let end = window.end.min(self.limit[point]);
+        window.start.min(end)..end
+    }
+
+    /// The seed-ordered prefix of `point` the decision at the end of
+    /// `window` folds.
+    fn prefix(&self, point: usize, window: &Range<u64>) -> Range<u64> {
+        self.seeds.start..window.end.min(self.limit[point])
+    }
+
+    /// Why `point` stopped, if it has.
+    pub(crate) fn stopped(&self, point: usize) -> Option<StopReason> {
+        self.stopped[point]
+    }
+
+    /// Seeds `point` may consume in total: the budget, or the prefix length
+    /// its verdict fixed.
+    pub(crate) fn seeds_used(&self, point: usize) -> u64 {
+        self.limit[point] - self.seeds.start
+    }
+
+    /// Records a verdict published by a peer process: `point` stopped for
+    /// `reason` after `seeds_used` seeds, and its cap moves there.
+    pub(crate) fn stop_at(&mut self, point: usize, reason: StopReason, seeds_used: u64) {
+        self.stopped[point] = Some(reason);
+        self.limit[point] = self.seeds.start + seeds_used;
+    }
+
+    /// The decision at the end of `window`: folds every point's prefix with
+    /// `fold(point, prefix)`, applies the rule and caps the newly stopped
+    /// points at the window end. Returns those points, in point order.
+    /// Without a rule nothing is folded and nothing stops.
+    pub(crate) fn decide<F>(&mut self, window: &Range<u64>, mut fold: F) -> Vec<usize>
+    where
+        F: FnMut(usize, Range<u64>) -> BatchStats,
+    {
+        let Some(rule) = self.rule else {
+            return Vec::new();
+        };
+        let stats: Vec<BatchStats> = (0..self.limit.len())
+            .map(|point| fold(point, self.prefix(point, window)))
+            .collect();
+        let before = self.stopped.clone();
+        rule.decide_batch(&stats, &mut self.stopped, window.end - self.seeds.start);
+        let newly: Vec<usize> = (0..before.len())
+            .filter(|&point| before[point].is_none() && self.stopped[point].is_some())
+            .collect();
+        for &point in &newly {
+            self.limit[point] = window.end;
+        }
+        newly
+    }
+
+    /// The report fields of a point that consumed `seeds_used` seeds:
+    /// `(stopped_early, stop)`. A plan without a rule reports
+    /// `(false, None)`; with one, every point carries a reason —
+    /// [`StopReason::Exhausted`] when the budget ran out first.
+    pub(crate) fn verdict(&self, point: usize, seeds_used: u64) -> (bool, Option<StopReason>) {
+        match self.rule {
+            None => (false, None),
+            Some(_) => (
+                seeds_used < self.seeds.end - self.seeds.start,
+                Some(self.stopped[point].unwrap_or(StopReason::Exhausted)),
+            ),
+        }
+    }
 }
 
 /// Streams sweep grids through a [`BatchRunner`] worker pool with optional
@@ -665,10 +773,12 @@ impl SweepRunner {
             .into_iter()
             .map(|point| (point.label, point.spec))
             .collect();
-        match &sweep.stop {
-            None => self.run_points(points, sweep.seeds()?),
-            Some(rule) => self.run_points_adaptive(points, sweep.effective_seeds()?, rule),
-        }
+        self.run_points_with(
+            points,
+            sweep.effective_seeds()?,
+            sweep.stop.as_ref(),
+            |_, _, _| {},
+        )
     }
 
     /// Runs an explicit list of labelled grid points over a seed range.
@@ -679,16 +789,14 @@ impl SweepRunner {
         points: Vec<(String, ScenarioSpec)>,
         seeds: Range<u64>,
     ) -> Result<SweepReport, SweepError> {
-        self.run_points_each(points, seeds, |_, _| {})
+        self.run_points_with(points, seeds, None, |_, _, _| {})
     }
 
     /// Like [`run_points`](Self::run_points), additionally invoking `each`
     /// for every outcome — in deterministic (point index, seed) order,
     /// exactly once, before the outcome is dropped. Use this for bespoke
     /// folds that need more than [`BatchStats`] without collecting
-    /// outcomes. Declared probes are not run on this path; use
-    /// [`run_points_probed_each`](Self::run_points_probed_each) to carry
-    /// their outputs.
+    /// outcomes.
     pub fn run_points_each<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
@@ -698,165 +806,13 @@ impl SweepRunner {
     where
         F: FnMut(usize, &SyncOutcome),
     {
-        self.run_points_inner(points, seeds, ProbeSeeds::None, |point, outcome, _| {
+        self.run_points_with(points, seeds, None, |point, outcome, _| {
             each(point, outcome)
         })
     }
 
-    /// Like [`run_points_each`](Self::run_points_each), but every executed
-    /// trial runs with its spec's declared probes attached; `each`
-    /// additionally receives the probes' finalized outputs. Trials served
-    /// from an attached store skip the engine — and therefore the probes —
-    /// and are reported with `None` (the outcome stream itself is
-    /// bit-identical either way).
-    pub fn run_points_probed_each<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_inner(points, seeds, ProbeSeeds::All, each)
-    }
-
-    /// Like [`run_points_probed_each`](Self::run_points_probed_each), but
-    /// only each point's first *executed* seed runs with probes attached —
-    /// the cheap sampling mode for reports that show one probe output per
-    /// point (the `--spec` probe table): the remaining trials skip the
-    /// probe overhead entirely, and the outcome stream stays identical.
-    /// With a resume store attached, the sampled seed is the first one not
-    /// already cached (probes observe live executions), so a partially
-    /// resumed sweep still reports probe output as long as anything
-    /// executes. Caveat: two points whose specs canonicalize to the same
-    /// store digest (identical cells, or cells differing only in probes)
-    /// share cache entries, so with a store attached one such point's
-    /// freshly persisted trial can serve the other's sampled seed from
-    /// cache and cost it its probe sample — give duplicate points distinct
-    /// parameters if each must report probe output.
-    pub fn run_points_probed_first_each<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_inner(points, seeds, ProbeSeeds::FirstOnly, each)
-    }
-
-    fn run_points_inner<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        probed: ProbeSeeds,
-        mut each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        let sims: Vec<Sim> = points
-            .iter()
-            .map(|(_, spec)| Sim::from_spec(spec))
-            .collect::<Result<_, SpecError>>()?;
-        // Each Sim already computed its canonical spec digest at build time.
-        let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-        // For first-only sampling, pick each point's probe seed up front:
-        // the first seed the store cannot serve (cache hits skip the
-        // engine, and probes observe live executions only). The scan sees
-        // the store as it was before the run; a point sharing its digest
-        // with another point can still lose its sample to the other's
-        // mid-run put (see run_points_probed_first_each docs).
-        let probe_seed: Vec<Option<u64>> = match probed {
-            ProbeSeeds::FirstOnly => digests
-                .iter()
-                .map(|&digest| match (&self.store, self.reuse) {
-                    (Some(store), true) => seeds.clone().find(|&s| !store.contains(digest, s)),
-                    _ => Some(seeds.start),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let seed_count = seeds.end.saturating_sub(seeds.start);
-        let total = points.len() as u64 * seed_count;
-        let mut folds: Vec<BatchStatsFold> = points.iter().map(|_| BatchStatsFold::new()).collect();
-        let mut cached: Vec<u64> = vec![0; points.len()];
-        let mut executed: Vec<u64> = vec![0; points.len()];
-
-        // Every (point, seed) pair is one index in a single queue drained
-        // by the BatchRunner's streaming core: workers steal trials
-        // globally (atomic cursor, bounded reorder window) and the
-        // collector hands results back here in deterministic (point,
-        // seed) order — each outcome is folded and dropped immediately,
-        // so memory stays O(reorder window) regardless of sweep size.
-        let chunk = seed_count.max(1);
-        self.runner
-            .try_map_each(
-                0..total,
-                |idx| -> Result<Trial, StoreError> {
-                    let (point, seed) = ((idx / chunk) as usize, seeds.start + idx % chunk);
-                    let probe_this = match probed {
-                        ProbeSeeds::None => false,
-                        ProbeSeeds::All => true,
-                        ProbeSeeds::FirstOnly => probe_seed[point] == Some(seed),
-                    };
-                    self.run_trial(&sims[point], digests[point], seed, probe_this)
-                },
-                |idx, (outcome, probes, hit)| {
-                    let point = (idx / chunk) as usize;
-                    if hit {
-                        cached[point] += 1;
-                    } else {
-                        executed[point] += 1;
-                    }
-                    each(point, &outcome, probes.as_deref());
-                    folds[point].push(&outcome);
-                },
-            )
-            .map_err(SweepError::Store)?;
-
-        let points = points
-            .into_iter()
-            .zip(folds)
-            .zip(cached.into_iter().zip(executed))
-            .map(|(((label, spec), fold), (cached, executed))| PointStats {
-                label,
-                spec,
-                stats: fold.finish(),
-                cached,
-                executed,
-                stopped_early: false,
-                stop: None,
-            })
-            .collect();
-        Ok(SweepReport {
-            points,
-            seed_start: seeds.start,
-            seed_end: seeds.end,
-        })
-    }
-
-    /// Runs labelled grid points with adaptive trial allocation: seeds are
-    /// consumed in lockstep batches of `rule.batch` from `seeds` (the
-    /// *effective* range — pass [`SweepSpec::effective_seeds`]), and each
-    /// point retires at the first batch boundary where `rule` is satisfied
-    /// on its seed-ordered prefix. Points still active when the budget
-    /// runs out report [`StopReason::Exhausted`].
-    pub fn run_points_adaptive(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        rule: &StoppingRule,
-    ) -> Result<SweepReport, SweepError> {
-        self.run_points_adaptive_inner(points, seeds, rule, ProbeSeeds::None, |_, _, _| {})
-    }
-
-    /// Like [`run_points_adaptive`](Self::run_points_adaptive),
-    /// additionally invoking `each` for every outcome — exactly once, in
-    /// the deterministic adaptive order: batch-major, then point index,
-    /// then seed (the fixed-count point-major order, re-chunked by batch).
+    /// [`run_points_each`](Self::run_points_each) under a stopping rule:
+    /// see [`run_points_with`](Self::run_points_with).
     pub fn run_points_adaptive_each<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
@@ -867,95 +823,97 @@ impl SweepRunner {
     where
         F: FnMut(usize, &SyncOutcome),
     {
-        self.run_points_adaptive_inner(
-            points,
-            seeds,
-            rule,
-            ProbeSeeds::None,
-            |point, outcome, _| each(point, outcome),
-        )
+        self.run_points_with(points, seeds, Some(rule), |point, outcome, _| {
+            each(point, outcome)
+        })
     }
 
-    /// The adaptive counterpart of
-    /// [`run_points_probed_first_each`](Self::run_points_probed_first_each):
-    /// each point's first executed seed runs with its declared probes
-    /// attached. A point that stops before reaching its sampled seed
-    /// reports no probe output (consistent with the fixed path's cached
-    /// caveat: probes observe live executions only).
-    pub fn run_points_adaptive_probed_first_each<F>(
+    /// Runs labelled grid points over `seeds`, invoking `each` for every
+    /// outcome exactly once, before it is dropped.
+    ///
+    /// Without a `stop` rule every (point, seed) trial runs and `each` sees
+    /// them in point-major, seed-ascending order. With one, seeds are
+    /// consumed in lockstep windows of `rule.batch` from `seeds` (the
+    /// *effective* range — pass [`SweepSpec::effective_seeds`]), each point
+    /// retires at the first window boundary where the rule is satisfied on
+    /// its seed-ordered prefix, and `each` sees outcomes window-major, then
+    /// point-major, then by seed. Points still active when the budget runs
+    /// out report [`StopReason::Exhausted`].
+    ///
+    /// Each point's first *executed* seed runs with the spec's declared
+    /// probes attached, and `each` receives their outputs for that trial
+    /// (`None` for every other trial). Trials served from an attached store
+    /// skip the engine and therefore the probes, so with a resume store the
+    /// sampled seed is the first one not already cached, and a point that
+    /// stops before reaching it reports no probe output. Caveat: two points
+    /// whose specs canonicalize to the same store digest share cache
+    /// entries, so one such point's freshly persisted trial can serve the
+    /// other's sampled seed from cache and cost it its probe sample — give
+    /// duplicate points distinct parameters if each must report probe
+    /// output.
+    pub fn run_points_with<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
         seeds: Range<u64>,
-        rule: &StoppingRule,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_adaptive_inner(points, seeds, rule, ProbeSeeds::FirstOnly, each)
-    }
-
-    fn run_points_adaptive_inner<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        rule: &StoppingRule,
-        probed: ProbeSeeds,
+        stop: Option<&StoppingRule>,
         mut each: F,
     ) -> Result<SweepReport, SweepError>
     where
         F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
     {
-        rule.validate()?;
+        if let Some(rule) = stop {
+            rule.validate()?;
+        }
         let sims: Vec<Sim> = points
             .iter()
             .map(|(_, spec)| Sim::from_spec(spec))
             .collect::<Result<_, SpecError>>()?;
+        // Each Sim already computed its canonical spec digest at build time.
         let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-        let probe_seed: Vec<Option<u64>> = match probed {
-            ProbeSeeds::FirstOnly => digests
-                .iter()
-                .map(|&digest| match (&self.store, self.reuse) {
+        // Pick each probed point's sample seed up front: the first seed the
+        // store cannot serve (cache hits skip the engine, and probes
+        // observe live executions only). The scan sees the store as it was
+        // before the run; a point sharing its digest with another point can
+        // still lose its sample to the other's mid-run put.
+        let probe_seed: Vec<Option<u64>> = sims
+            .iter()
+            .zip(&digests)
+            .map(|(sim, &digest)| {
+                if !sim.has_probes() {
+                    return None;
+                }
+                match (&self.store, self.reuse) {
                     (Some(store), true) => seeds.clone().find(|&s| !store.contains(digest, s)),
                     _ => Some(seeds.start),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+                }
+            })
+            .collect();
         let mut folds: Vec<BatchStatsFold> = points.iter().map(|_| BatchStatsFold::new()).collect();
         let mut cached: Vec<u64> = vec![0; points.len()];
         let mut executed: Vec<u64> = vec![0; points.len()];
-        let mut stopped: Vec<Option<StopReason>> = vec![None; points.len()];
+        let mut plan = TrialPlan::new(points.len(), seeds.clone(), stop);
 
-        // Lockstep batches: every still-active point advances through the
-        // same seed window [next, batch_end), then the rule is evaluated
-        // at the boundary on each point's seed-ordered prefix. Within a
-        // batch, (active point, seed) pairs form one work-stealing queue
-        // exactly like the fixed path — the collector re-orders outcomes
-        // into (point, seed) order, so folds (and therefore decisions) are
-        // independent of worker count and scheduling.
-        let mut next = seeds.start;
-        while next < seeds.end {
+        // Within a window, the (active point, seed) pairs form one queue
+        // drained by the BatchRunner's streaming core: workers steal trials
+        // globally (atomic cursor, bounded reorder window) and the
+        // collector hands results back here in deterministic (point, seed)
+        // order — each outcome is folded and dropped immediately, so memory
+        // stays O(reorder window) regardless of sweep size, and folds (and
+        // therefore stop decisions) are independent of worker count and
+        // scheduling. Nothing here calls `stop_at`, so every point owes
+        // either the whole window or none of it.
+        while let Some(window) = plan.next_window() {
             let active: Vec<usize> = (0..points.len())
-                .filter(|&p| stopped[p].is_none())
+                .filter(|&point| !plan.seeds_in(point, &window).is_empty())
                 .collect();
-            if active.is_empty() {
-                break;
-            }
-            let batch_end = seeds.end.min(next + rule.batch);
-            let span = batch_end - next;
-            let total = active.len() as u64 * span;
+            let span = window.end - window.start;
             self.runner
                 .try_map_each(
-                    0..total,
+                    0..active.len() as u64 * span,
                     |idx| -> Result<Trial, StoreError> {
                         let point = active[(idx / span) as usize];
-                        let seed = next + idx % span;
-                        let probe_this = match probed {
-                            ProbeSeeds::None => false,
-                            ProbeSeeds::All => true,
-                            ProbeSeeds::FirstOnly => probe_seed[point] == Some(seed),
-                        };
+                        let seed = window.start + idx % span;
+                        let probe_this = probe_seed[point] == Some(seed);
                         self.run_trial(&sims[point], digests[point], seed, probe_this)
                     },
                     |idx, (outcome, probes, hit)| {
@@ -970,28 +928,26 @@ impl SweepRunner {
                     },
                 )
                 .map_err(SweepError::Store)?;
-            let stats: Vec<BatchStats> = folds.iter().map(BatchStatsFold::finish).collect();
-            rule.decide_batch(&stats, &mut stopped, batch_end - seeds.start);
-            next = batch_end;
+            plan.decide(&window, |point, _| folds[point].finish());
         }
 
-        let budget = seeds.end - seeds.start;
         let points = points
             .into_iter()
             .zip(folds)
             .zip(cached.into_iter().zip(executed))
-            .zip(stopped)
-            .map(
-                |((((label, spec), fold), (cached, executed)), stop)| PointStats {
+            .enumerate()
+            .map(|(index, (((label, spec), fold), (cached, executed)))| {
+                let (stopped_early, stop) = plan.verdict(index, cached + executed);
+                PointStats {
                     label,
                     spec,
                     stats: fold.finish(),
-                    stopped_early: cached + executed < budget,
-                    stop: Some(stop.unwrap_or(StopReason::Exhausted)),
                     cached,
                     executed,
-                },
-            )
+                    stopped_early,
+                    stop,
+                }
+            })
             .collect();
         Ok(SweepReport {
             points,
@@ -1002,9 +958,7 @@ impl SweepRunner {
 
     /// One trial: serve from the attached store if possible (reuse mode),
     /// otherwise execute the engine (with probes when asked) and persist.
-    /// The returned flag is `true` for a cache hit. Shared by the fixed
-    /// and adaptive paths so both produce identical outcome streams and
-    /// store contents for the trials they run.
+    /// The returned flag is `true` for a cache hit.
     fn run_trial(
         &self,
         sim: &Sim,
@@ -1019,7 +973,7 @@ impl SweepRunner {
                 }
             }
         }
-        let (outcome, probes) = if probe_this && sim.has_probes() {
+        let (outcome, probes) = if probe_this {
             let probed_outcome = sim.run_probed(seed);
             (probed_outcome.outcome, probed_outcome.probes)
         } else {
@@ -1032,39 +986,10 @@ impl SweepRunner {
     }
 }
 
-/// The unit of work both sweep paths stream through the worker pool: an
+/// The unit of work the trial loop streams through the worker pool: an
 /// outcome, its probe outputs (live probed executions only), and whether
 /// it was served from the result store.
 type Trial = (SyncOutcome, Option<Vec<ProbeOutput>>, bool);
-
-/// Estimates the probability that a scenario's completion round reaches
-/// the last threshold of `config.levels` — a rare-event tail probability —
-/// by multilevel importance splitting over deterministic seed streams (see
-/// [`wsync_stats::splitting`]). A trial that never synchronizes counts as
-/// infinitely severe (it sits above every threshold).
-///
-/// The engine replays a whole execution from a single seed, so a child
-/// path cannot literally branch mid-trajectory: each [`SplitPath`] is
-/// replayed from its derived seed ([`SplitPath::seed`]), which degrades
-/// multilevel splitting to deterministic stratified restarts — unbiased
-/// per level factor, with reduced (not zero) variance benefit. The
-/// estimate is still a pure function of `(spec, config)`: same inputs,
-/// bit-identical result, on any machine.
-///
-/// [`SplitPath`]: wsync_stats::SplitPath
-/// [`SplitPath::seed`]: wsync_stats::SplitPath::seed
-pub fn estimate_rare_event(
-    spec: &ScenarioSpec,
-    config: &SplittingConfig,
-) -> Result<SplittingEstimate, SpecError> {
-    let sim = Sim::from_spec(spec)?;
-    Ok(splitting_estimate(config, |path| {
-        match sim.run_one(path.seed()).completion_round() {
-            Some(round) => round as f64,
-            None => f64::INFINITY,
-        }
-    }))
-}
 
 /// Renders the sync-time quantile table of a seed-ordered outcome slice:
 /// one row for the worst per-node rounds-to-sync, one for the global
@@ -1460,20 +1385,84 @@ mod tests {
     }
 
     #[test]
-    fn rare_event_estimate_is_deterministic_and_bounded() {
-        let spec = ScenarioSpec::new("trapdoor", 6, 8, 1).with_adversary("random");
-        let config = SplittingConfig {
-            levels: vec![10.0, 20.0],
-            base_trials: 64,
-            splits: 4,
-            max_population: 128,
-            seed_start: 0,
-        };
-        let a = estimate_rare_event(&spec, &config).unwrap();
-        let b = estimate_rare_event(&spec, &config).unwrap();
-        assert_eq!(a, b);
-        assert!(a.probability >= 0.0 && a.probability <= 1.0);
-        assert!(a.total_runs >= 64);
+    fn plan_without_a_rule_is_one_window_that_never_stops() {
+        let mut plan = TrialPlan::new(3, 10..50, None);
+        let window = plan.next_window().unwrap();
+        assert_eq!(window, 10..50);
+        for point in 0..3 {
+            assert_eq!(plan.seeds_in(point, &window), 10..50);
+        }
+        // no rule: nothing is folded, nothing stops
+        let newly = plan.decide(&window, |_, _| {
+            unreachable!("a plan without a rule never folds")
+        });
+        assert!(newly.is_empty());
+        assert_eq!(plan.next_window(), None);
+        for point in 0..3 {
+            assert_eq!(plan.stopped(point), None);
+            assert_eq!(plan.verdict(point, 40), (false, None));
+        }
+        // an empty grid or seed range has no window at all
+        assert_eq!(TrialPlan::new(0, 0..5, None).next_window(), None);
+        assert_eq!(TrialPlan::new(2, 5..5, None).next_window(), None);
+    }
+
+    #[test]
+    fn plan_windows_are_batch_aligned_and_cut_off_at_the_budget() {
+        let rule = StoppingRule::new(StopMetric::SyncRate, 1e-9)
+            .with_min_seeds(1)
+            .with_batch(4);
+        let mut plan = TrialPlan::new(2, 3..13, Some(&rule));
+        let mut windows = Vec::new();
+        while let Some(window) = plan.next_window() {
+            // the decision folds each point's whole seed-ordered prefix
+            let mut prefixes = Vec::new();
+            let newly = plan.decide(&window, |point, prefix| {
+                prefixes.push((point, prefix.clone()));
+                rate_stats(0, prefix.end - prefix.start)
+            });
+            assert!(newly.is_empty(), "an unsatisfiable width never stops");
+            assert_eq!(prefixes, vec![(0, 3..window.end), (1, 3..window.end)]);
+            windows.push(window);
+        }
+        assert_eq!(windows, vec![3..7, 7..11, 11..13]);
+        assert_eq!(
+            plan.verdict(0, 10),
+            (false, Some(StopReason::Exhausted)),
+            "a point that ran its whole budget is exhausted"
+        );
+    }
+
+    #[test]
+    fn plan_caps_a_stopped_point_and_a_peer_marker_caps_its_limit() {
+        let rule = StoppingRule::new(StopMetric::SyncRate, 0.3)
+            .with_min_seeds(2)
+            .with_batch(2);
+        let mut plan = TrialPlan::new(3, 0..8, Some(&rule));
+        let first = plan.next_window().unwrap();
+        // a peer already published point 2's verdict at six seeds
+        plan.stop_at(2, StopReason::HalfWidth, 6);
+        assert_eq!(plan.seeds_used(2), 6);
+        // point 0's narrow interval stops it at the first boundary
+        let newly = plan.decide(&first, |point, _| {
+            if point == 0 {
+                rate_stats(1000, 1000)
+            } else {
+                rate_stats(1, 2)
+            }
+        });
+        assert_eq!(newly, vec![0]);
+        assert_eq!(plan.seeds_used(0), 2);
+        let second = plan.next_window().unwrap();
+        assert_eq!(second, 2..4);
+        assert!(plan.seeds_in(0, &second).is_empty());
+        assert_eq!(plan.seeds_in(1, &second), 2..4);
+        assert_eq!(plan.seeds_in(2, &second), 2..4);
+        // past the marker's cap the peer-stopped point owes nothing more
+        assert!(plan.seeds_in(2, &(6..8)).is_empty());
+        assert_eq!(plan.prefix(2, &(6..8)), 0..6);
+        assert_eq!(plan.verdict(0, 2), (true, Some(StopReason::HalfWidth)));
+        assert_eq!(plan.verdict(2, 6), (true, Some(StopReason::HalfWidth)));
     }
 
     #[test]

@@ -156,21 +156,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the adversary-visible history retention window (`None` retains
-    /// the full history).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `with_history_retention`; the default now derives the window from \
-                the adversary's and probes' declared lookback"
-    )]
-    pub fn with_history_window(mut self, window: Option<usize>) -> Self {
-        self.history_retention = match window {
-            Some(w) => HistoryRetention::Window(w),
-            None => HistoryRetention::Full,
-        };
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.num_nodes == 0 {

@@ -97,11 +97,10 @@ impl Probe for NullProbe {
 
 /// An owned, ordered composition of probes.
 ///
-/// This replaces the borrowed `MultiObserver<'a>` fan-out: because the
-/// stack owns its probes (`Box<dyn Probe>`), it can be assembled by
-/// registries and factories without lifetime gymnastics, attached to an
-/// engine, and disassembled after the run to recover each probe's collected
-/// state ([`take`](ProbeStack::take)).
+/// Because the stack owns its probes (`Box<dyn Probe>`), it can be
+/// assembled by registries and factories without lifetime gymnastics,
+/// attached to an engine, and disassembled after the run to recover each
+/// probe's collected state ([`take`](ProbeStack::take)).
 #[derive(Default)]
 pub struct ProbeStack {
     probes: Vec<Box<dyn Probe>>,

@@ -264,38 +264,6 @@ impl Probe for FullTrace {
     }
 }
 
-/// Fans one observation out to several borrowed observers.
-///
-/// Deprecated: the borrowed `Vec<&'a mut dyn Observer>` composition cannot
-/// be built by registries or stored across calls without lifetime
-/// gymnastics. Use the owned [`ProbeStack`](crate::probe::ProbeStack)
-/// instead and recover the probes with
-/// [`ProbeStack::take`](crate::probe::ProbeStack::take) after the run.
-#[deprecated(
-    since = "0.3.0",
-    note = "compose owned probes in a `ProbeStack` instead of borrowing observers"
-)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn Observer>,
-}
-
-#[allow(deprecated)]
-impl<'a> MultiObserver<'a> {
-    /// Creates a multiplexer over the given observers.
-    pub fn new(observers: Vec<&'a mut dyn Observer>) -> Self {
-        MultiObserver { observers }
-    }
-}
-
-#[allow(deprecated)]
-impl Observer for MultiObserver<'_> {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        for obs in self.observers.iter_mut() {
-            obs.on_round(observation);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,29 +344,6 @@ mod tests {
         let series = trace.output_series(NodeId::new(1));
         assert_eq!(series, vec![None, Some(None)]);
         assert_eq!(trace.events()[0].disrupted, vec![2]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn multi_observer_fans_out() {
-        let mut a = FullTrace::new();
-        let mut b = FullTrace::new();
-        {
-            let mut multi = MultiObserver::new(vec![&mut a, &mut b]);
-            let disrupted = DisruptionSet::empty(2);
-            let nodes = [NodeView::Active { output: None }];
-            let actions = [ActionView::Sleep];
-            multi.on_round(&sample_observation(
-                0,
-                &nodes,
-                &actions,
-                &disrupted,
-                &[],
-                &[],
-            ));
-        }
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

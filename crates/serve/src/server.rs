@@ -34,8 +34,7 @@ use std::time::Duration;
 use wsync_core::batch::BatchStats;
 use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::json::{self, Value};
-use wsync_core::registry::{self, ProbeOutput};
-use wsync_core::report::SyncOutcome;
+use wsync_core::registry;
 use wsync_core::spec::{ScenarioSpec, SweepSpec};
 use wsync_core::store::{spec_digest, ResultStore, StoreError};
 use wsync_core::sweep::{SweepError, SweepRunner};
@@ -414,20 +413,19 @@ fn handle_run(state: &State, stream: &mut TcpStream, request: &Request) -> std::
     let mut probe_sample: Option<Vec<(String, Value)>> = None;
     let result = SweepRunner::new()
         .store(Arc::clone(&state.store))
-        .run_points_probed_first_each(
+        .run_points_with(
             vec![(String::new(), spec)],
             seeds.clone(),
+            None,
             |_, outcome, probes| {
                 rounds += outcome.result.metrics.rounds;
-                if probe_sample.is_none() {
-                    if let Some(outputs) = probes {
-                        probe_sample = Some(
-                            outputs
-                                .iter()
-                                .map(|o| (o.name.clone(), o.value.clone()))
-                                .collect(),
-                        );
-                    }
+                if let Some(outputs) = probes {
+                    probe_sample = Some(
+                        outputs
+                            .iter()
+                            .map(|o| (o.name.clone(), o.value.clone()))
+                            .collect(),
+                    );
                 }
             },
         );
@@ -659,33 +657,27 @@ fn aggregate_sweep(
     let mut rounds = 0u64;
     let mut probe_samples: Vec<Option<Vec<(String, Value)>>> = vec![None; points.len()];
     let runner = SweepRunner::new().store(Arc::new(store));
-    let mut sample = |point: usize, outcome: &SyncOutcome, probes: Option<&[ProbeOutput]>| {
-        rounds += outcome.result.metrics.rounds;
-        if probe_samples[point].is_none() {
-            if let Some(outputs) = probes {
-                probe_samples[point] = Some(
-                    outputs
-                        .iter()
-                        .map(|o| (o.name.clone(), o.value.clone()))
-                        .collect(),
-                );
-            }
-        }
-    };
-    // Same dispatch as the workers: with a `"stop"` rule this pass folds
-    // the stored trials through the rule's batch schedule, reproducing the
-    // workers' stop decisions from the store bytes alone.
-    let report = match &sweep.stop {
-        None => {
-            runner.run_points_probed_first_each(points, seeds.clone(), |p, o, pr| sample(p, o, pr))
-        }
-        Some(rule) => {
-            runner.run_points_adaptive_probed_first_each(points, seeds.clone(), rule, |p, o, pr| {
-                sample(p, o, pr)
-            })
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    // The same trial plan as the workers: with a `"stop"` rule this pass
+    // folds the stored trials through the rule's batch schedule,
+    // reproducing the workers' stop decisions from the store bytes alone.
+    let report = runner
+        .run_points_with(
+            points,
+            seeds.clone(),
+            sweep.stop.as_ref(),
+            |point, outcome, probes| {
+                rounds += outcome.result.metrics.rounds;
+                if let Some(outputs) = probes {
+                    probe_samples[point] = Some(
+                        outputs
+                            .iter()
+                            .map(|o| (o.name.clone(), o.value.clone()))
+                            .collect(),
+                    );
+                }
+            },
+        )
+        .map_err(|e| e.to_string())?;
     for (point, label) in report.points.iter().zip(&labels) {
         let mut fields = vec![
             ("event".to_string(), Value::Str("point".to_string())),

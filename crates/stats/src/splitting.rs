@@ -20,13 +20,19 @@
 //! (root seed plus branch indices), the child enumeration order is fixed,
 //! and the severity closure is expected to derive all of its randomness
 //! from [`SplitPath::seed`] — two calls with the same config reproduce the
-//! same estimate bit for bit, on any machine. How faithfully "continue
-//! from the parent's prefix" holds is the model's choice: a branchable
-//! process can consume one branch index per level segment (true trajectory
-//! splitting, as in the tests below); a replay-only model (e.g. a whole
-//! simulated execution keyed by one seed) degrades gracefully to
-//! stratified restarts — still deterministic, still unbiased per factor,
-//! with reduced (not zero) variance benefit.
+//! same estimate bit for bit, on any machine.
+//!
+//! The estimate is only as good as "continue from the parent's prefix".
+//! A branchable process consumes one branch index per level segment
+//! ([`SplitPath::prefix_seed`]), so a child really shares its parent's
+//! trajectory up to the level it reached: that is true trajectory
+//! splitting, and the estimator is unbiased (see the tests below). A
+//! replay-only model — a whole simulated execution keyed by one seed,
+//! replayed from [`SplitPath::seed`] — cannot branch. Its children are
+//! fresh, independent executions that do not inherit the parent's
+//! progress, so each level's fraction estimates the *unconditional*
+//! `P(S ≥ Lₖ)` and the product is `∏ₖ P(S ≥ Lₖ)`, biased low against
+//! `P(S ≥ L_K)`. Do not feed replay-only models to this estimator.
 
 /// The identity of one splitting trial: a root seed plus the branch index
 /// taken at each completed level. Children enumerate deterministically, so
@@ -59,9 +65,10 @@ impl SplitPath {
     }
 
     /// The path's derived seed: a splitmix-style fold of the root and each
-    /// branch index. Models that cannot branch mid-trajectory key their
-    /// whole replay off this; branchable models use [`prefix_seed`]
-    /// per segment instead.
+    /// branch index. It names the path, but a model that keys a whole
+    /// replay off it gets an execution unrelated to the parent's, which
+    /// biases [`splitting_estimate`] (see the module docs); branchable
+    /// models use [`prefix_seed`] per segment instead.
     ///
     /// [`prefix_seed`]: SplitPath::prefix_seed
     pub fn seed(&self) -> u64 {
@@ -296,6 +303,30 @@ mod tests {
         let estimate = splitting_estimate(&SplittingConfig::new(Vec::new()), |_| 1.0);
         assert_eq!(estimate.probability, 0.0);
         assert_eq!(estimate.total_runs, 0);
+    }
+
+    #[test]
+    fn replay_only_severity_multiplies_unconditional_fractions() {
+        // A uniform severity replayed whole from each path's own seed:
+        // children do not inherit their parent's severity, so level 1
+        // measures P(S ≥ 0.9) = 0.1 instead of P(S ≥ 0.9 | S ≥ 0.5) = 0.2,
+        // and the estimate lands near 0.5 · 0.1 = 0.05, not the true 0.1.
+        let config = SplittingConfig {
+            levels: vec![0.5, 0.9],
+            base_trials: 20_000,
+            splits: 2,
+            max_population: 20_000,
+            seed_start: 0,
+        };
+        let uniform = |path: &SplitPath| (path.seed() >> 11) as f64 / (1u64 << 53) as f64;
+        let estimate = splitting_estimate(&config, uniform);
+        assert!(
+            (estimate.probability - 0.05).abs() < 0.005,
+            "replay-only estimate {} should sit near 0.05",
+            estimate.probability
+        );
+        assert!((estimate.levels[1].conditional - 0.1).abs() < 0.01);
+        assert!(estimate.probability < 0.1 * 0.6, "far below the truth 0.1");
     }
 
     #[test]

@@ -405,56 +405,15 @@ fn run_probed_carries_outputs_and_cache_hits_skip_probes() {
 }
 
 #[test]
-fn probed_sweep_streams_outputs_per_trial() {
-    let base = ScenarioSpec::new("trapdoor", 6, 8, 1)
-        .with_adversary("random")
-        .with_probe("checker");
-    let points: Vec<(String, ScenarioSpec)> = vec![
-        ("t=1".to_string(), base.clone()),
-        ("t=3".to_string(), {
-            let mut p = base.clone();
-            p.disruption_bound = 3;
-            p
-        }),
-    ];
-
-    // Outcome stream and aggregates are identical to the unprobed path.
-    let mut unprobed: Vec<(usize, SyncOutcome)> = Vec::new();
-    let plain_report = SweepRunner::new()
-        .run_points_each(points.clone(), 0..4, |point, outcome| {
-            unprobed.push((point, outcome.clone()));
-        })
-        .unwrap();
-    let mut probed: Vec<(usize, SyncOutcome)> = Vec::new();
-    let mut outputs_seen = 0usize;
-    let probed_report = SweepRunner::new()
-        .run_points_probed_each(points, 0..4, |point, outcome, outputs| {
-            probed.push((point, outcome.clone()));
-            let outputs = outputs.expect("storeless probed sweeps execute every trial");
-            assert_eq!(outputs.len(), 1);
-            assert_eq!(outputs[0].name, "checker");
-            assert_eq!(
-                outputs[0].value.get("liveness").and_then(|v| v.as_bool()),
-                Some(outcome.properties.liveness)
-            );
-            outputs_seen += 1;
-        })
-        .unwrap();
-    assert_eq!(unprobed, probed);
-    assert_eq!(outputs_seen, 8);
-    for (a, b) in plain_report.points.iter().zip(&probed_report.points) {
-        assert_eq!(a.stats, b.stats);
-    }
-}
-
-#[test]
 fn first_only_probing_samples_one_seed_per_point() {
-    // The sampling mode behind the --spec probe table: only each point's
-    // first seed carries probe outputs; the outcome stream and aggregates
-    // are unchanged.
+    // The sweep runner's probe sampling (behind the --spec probe table):
+    // only each point's first seed carries probe outputs, they agree with
+    // the trial's outcome, and the outcome stream and aggregates are those
+    // of unprobed executions.
     let base = ScenarioSpec::new("trapdoor", 6, 8, 1)
         .with_adversary("random")
-        .with_probe("metrics");
+        .with_probe("metrics")
+        .with_probe("checker");
     // Distinct specs per point: the points must not share a store digest,
     // or one point's executed trials would satisfy the other's cache.
     let points = vec![
@@ -468,23 +427,33 @@ fn first_only_probing_samples_one_seed_per_point() {
     let mut probed_seeds: Vec<(usize, u64)> = Vec::new();
     let mut outcomes: Vec<SyncOutcome> = Vec::new();
     let report = SweepRunner::new()
-        .run_points_probed_first_each(points.clone(), 2..6, |point, outcome, outputs| {
+        .run_points_with(points.clone(), 2..6, None, |point, outcome, outputs| {
             outcomes.push(outcome.clone());
-            if outputs.is_some() {
+            if let Some(outputs) = outputs {
                 probed_seeds.push((point, outcome.seed));
+                assert_eq!(outputs.len(), 2);
+                assert_eq!(outputs[1].name, "checker");
+                assert_eq!(
+                    outputs[1].value.get("liveness").and_then(|v| v.as_bool()),
+                    Some(outcome.properties.liveness)
+                );
             }
         })
         .unwrap();
     assert_eq!(probed_seeds, vec![(0, 2), (1, 2)]);
-    let mut plain: Vec<SyncOutcome> = Vec::new();
-    let plain_report = SweepRunner::new()
-        .run_points_each(points.clone(), 2..6, |_, outcome| {
-            plain.push(outcome.clone())
+    let plain: Vec<SyncOutcome> = points
+        .iter()
+        .flat_map(|(_, spec)| {
+            let sim = Sim::from_spec(spec).unwrap();
+            (2..6).map(move |seed| sim.run_one(seed))
         })
-        .unwrap();
+        .collect();
     assert_eq!(outcomes, plain);
-    for (a, b) in report.points.iter().zip(&plain_report.points) {
-        assert_eq!(a.stats, b.stats);
+    for (index, point) in report.points.iter().enumerate() {
+        assert_eq!(
+            point.stats,
+            BatchStats::aggregate(&plain[index * 4..(index + 1) * 4])
+        );
     }
 
     // With a resume store that already holds the first seed, the sample
@@ -504,7 +473,7 @@ fn first_only_probing_samples_one_seed_per_point() {
     let mut probed_seeds: Vec<(usize, u64)> = Vec::new();
     SweepRunner::new()
         .store(store)
-        .run_points_probed_first_each(points, 2..6, |point, outcome, outputs| {
+        .run_points_with(points, 2..6, None, |point, outcome, outputs| {
             if outputs.is_some() {
                 probed_seeds.push((point, outcome.seed));
             }

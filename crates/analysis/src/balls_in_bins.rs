@@ -19,12 +19,11 @@
 //! estimator, plus the [`BallsInBins`] description type shared by both.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use wsync_radio::rng::SimRng;
 
 /// An instance of the Lemma 2 process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BallsInBins {
     /// Number of balls thrown (`m`).
     pub balls: usize,

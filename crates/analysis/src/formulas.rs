@@ -7,10 +7,8 @@
 //! multiple of the expression across a parameter sweep, the asymptotic
 //! *shape* of the paper's claim is reproduced.
 
-use serde::{Deserialize, Serialize};
-
 /// Bound expressions for a problem instance `(N, F, t)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
     /// Upper bound `N` on the number of participants.
     pub upper_bound_n: u64,

@@ -10,8 +10,6 @@
 //! success-probability function, the goodness predicate, the `m_i` ladder,
 //! and a numerical verification of Claim 3 used by the LB1 experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// The probability that exactly one of `n` nodes broadcasts when each
 /// broadcasts independently with probability `p`:
 /// `n·p·(1−p)^{n−1}`.
@@ -37,7 +35,7 @@ pub fn is_good_probability(success: f64, upper_bound_n: u64) -> bool {
 /// `m_i = ⌊x/2⌋ + (i−1)·x` for `i = 1, 2, …` while `m_i < lg N`.
 ///
 /// Returns the exponents `m_i`; the populations themselves are `2^{m_i}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Claim3Ladder {
     /// The spacing `x = ⌈4·log log N⌉`.
     pub x: u32,

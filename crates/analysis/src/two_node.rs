@@ -15,14 +15,13 @@
 //! which experiment LB2 compares against the bound.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use wsync_radio::rng::SimRng;
 
 use crate::formulas::Bounds;
 
 /// How the two nodes pick frequencies each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RendezvousStrategy {
     /// Uniform over the whole band `[1..F]` — what both of the paper's
     /// protocols do (over `F′`) before any message is received.
@@ -71,7 +70,7 @@ impl RendezvousStrategy {
 }
 
 /// The two-node rendezvous game against the pq-product adversary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RendezvousGame {
     /// Number of frequencies `F`.
     pub num_frequencies: u32,

@@ -1,11 +1,11 @@
 //! Offline facade for the `serde` crate.
 //!
-//! This workspace builds in environments with no crates.io access. Nothing
-//! in the codebase serializes data yet — types only *derive*
-//! `Serialize`/`Deserialize` so that a later PR can add persistence — so
-//! this facade provides marker traits and re-exports the no-op derives from
-//! the sibling `serde_derive` stub. Swapping in the real `serde` later is a
-//! one-line Cargo.toml change per crate.
+//! This workspace builds in environments with no crates.io access, and no
+//! workspace type derives or uses these traits: the store and spec layers
+//! encode JSON by hand (`wsync_core::json`). The facade provides marker
+//! traits and re-exports the no-op derives from the sibling `serde_derive`
+//! stub; it stays a dependency of `wsync-core`, `wsync-radio` and
+//! `wsync-stats` only because `e2e-bench/Cargo.lock` pins it.
 
 #![forbid(unsafe_code)]
 

@@ -12,7 +12,6 @@
 //! (X2) quantifies both weaknesses.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use wsync_radio::action::Action;
 use wsync_radio::frequency::{Frequency, FrequencyBand};
@@ -26,7 +25,7 @@ use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg};
 
 /// Configuration of the round-robin hopping baseline. Reuses the Trapdoor
 /// epoch schedule for broadcast probabilities and the leader deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRobinConfig {
     /// The underlying Trapdoor schedule (epoch lengths and probabilities).
     pub trapdoor: TrapdoorConfig,

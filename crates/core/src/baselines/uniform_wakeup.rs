@@ -22,7 +22,6 @@
 //! experiment (X2) quantifies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use wsync_radio::action::Action;
 use wsync_radio::frequency::FrequencyBand;
@@ -36,7 +35,7 @@ use crate::timestamp::Timestamp;
 use crate::trapdoor::TrapdoorMsg;
 
 /// Configuration of the wake-up-style baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WakeupConfig {
     /// Bound `N` on the number of participants (rounded to a power of two).
     pub upper_bound_n: u64,

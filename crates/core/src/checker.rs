@@ -2,32 +2,24 @@
 //! problem.
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
-//! [`Probe`] hook (and the legacy [`Observer`] hook) and verifies, round by
-//! round and with O(n) memory:
+//! [`Probe`] hook and verifies, round by round and with O(n) memory:
 //!
 //! * **synch commit** — no node reverts from a round number to `⊥`;
 //! * **correctness** — a node outputting `i` outputs `i + 1` next round;
 //! * **agreement** — all non-`⊥` outputs within one round are equal.
 //!
 //! (**Validity** is enforced by the type system: outputs are `Option<u64>`.)
-//! **Liveness** folds incrementally too: the checker tracks each node's
-//! first non-`⊥` round and whether the latest observed round had every
-//! node synchronized, so [`PropertyChecker::report`] produces the complete
-//! verdict from the round stream alone — no retained per-round state, no
-//! post-hoc scan. The legacy [`PropertyChecker::finish`] (which copies the
-//! liveness verdict out of the engine's [`ExecutionResult`]) remains as the
-//! cross-check; `tests/probe_pipeline.rs` proves the two agree on random
-//! scenarios.
-
-use serde::{Deserialize, Serialize};
+//! **Liveness** is the engine's own verdict: [`PropertyChecker::finish`]
+//! copies it out of the [`ExecutionResult`], which already holds every
+//! node's first sync round.
 
 use wsync_radio::engine::ExecutionResult;
 use wsync_radio::node::NodeId;
 use wsync_radio::probe::Probe;
-use wsync_radio::trace::{NodeView, Observer, RoundObservation};
+use wsync_radio::trace::{NodeView, RoundObservation};
 
 /// A single property violation detected during an execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A node output `⊥` after having output a round number.
     SynchCommit {
@@ -61,10 +53,10 @@ pub enum Violation {
 }
 
 /// The verdict over a full execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropertyReport {
-    /// Violations of synch commit, correctness, or agreement (capped; see
-    /// [`PropertyChecker::with_max_recorded`]).
+    /// Violations of synch commit, correctness, or agreement (the first
+    /// [`MAX_RECORDED`] of them).
     pub violations: Vec<Violation>,
     /// Total number of violations observed (may exceed `violations.len()`).
     pub total_violations: u64,
@@ -89,46 +81,24 @@ impl PropertyReport {
     }
 }
 
+/// How many violations a [`PropertyReport`] stores in detail (all are
+/// counted in [`PropertyReport::total_violations`]).
+pub const MAX_RECORDED: usize = 64;
+
 /// Streaming probe that checks the synchronization properties online.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PropertyChecker {
     previous: Vec<Option<Option<u64>>>,
-    /// Per node, the first observed round with a non-`⊥` output.
-    first_sync: Vec<Option<u64>>,
-    /// Whether every node was active with a non-`⊥` output in the most
-    /// recently observed round.
-    last_round_all_synced: bool,
     violations: Vec<Violation>,
     total_violations: u64,
     rounds_observed: u64,
-    max_recorded: usize,
-}
-
-impl Default for PropertyChecker {
-    fn default() -> Self {
-        PropertyChecker::new()
-    }
 }
 
 impl PropertyChecker {
     /// Creates a checker. The node count is learned from the first observed
     /// round.
     pub fn new() -> Self {
-        PropertyChecker {
-            previous: Vec::new(),
-            first_sync: Vec::new(),
-            last_round_all_synced: false,
-            violations: Vec::new(),
-            total_violations: 0,
-            rounds_observed: 0,
-            max_recorded: 64,
-        }
-    }
-
-    /// Caps how many violations are stored in detail (all are counted).
-    pub fn with_max_recorded(mut self, max_recorded: usize) -> Self {
-        self.max_recorded = max_recorded;
-        self
+        PropertyChecker::default()
     }
 
     /// Number of violations observed so far.
@@ -138,21 +108,15 @@ impl PropertyChecker {
 
     fn record(&mut self, violation: Violation) {
         self.total_violations += 1;
-        if self.violations.len() < self.max_recorded {
+        if self.violations.len() < MAX_RECORDED {
             self.violations.push(violation);
         }
     }
 
-    /// Finalizes the report using the engine's execution result (for the
-    /// liveness verdict).
-    ///
-    /// This is the legacy post-hoc path; [`report`](Self::report) now folds
-    /// liveness incrementally from the round stream and agrees with this on
-    /// every engine-produced execution (property-tested in
-    /// `tests/probe_pipeline.rs`). `finish` remains authoritative where an
-    /// [`ExecutionResult`] is at hand because it reflects the engine's own
-    /// `is_synchronized` verdicts, which a hand-written protocol could in
-    /// principle decouple from its outputs.
+    /// Finalizes the report using the engine's execution result for the
+    /// liveness verdict — the engine's own `is_synchronized` verdicts,
+    /// which a hand-written protocol could in principle decouple from its
+    /// outputs.
     pub fn finish(self, result: &ExecutionResult) -> PropertyReport {
         PropertyReport {
             violations: self.violations,
@@ -162,44 +126,13 @@ impl PropertyChecker {
             completion_round: result.completion_round(),
         }
     }
+}
 
-    /// The complete verdict, derived purely from the observed round stream
-    /// — violations, liveness (every node active and non-`⊥` in the latest
-    /// observed round), and the completion round (latest first-sync round)
-    /// — with no [`ExecutionResult`] needed and no retained state
-    /// proportional to the number of rounds.
-    pub fn report(&self) -> PropertyReport {
-        let liveness = self.rounds_observed > 0 && self.last_round_all_synced;
-        PropertyReport {
-            violations: self.violations.clone(),
-            total_violations: self.total_violations,
-            rounds_observed: self.rounds_observed,
-            liveness,
-            completion_round: if liveness {
-                self.first_sync.iter().copied().max().flatten()
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Finalizes the report without liveness information (e.g. when checking
-    /// a hand-built trace).
-    pub fn finish_without_result(self) -> PropertyReport {
-        PropertyReport {
-            violations: self.violations,
-            total_violations: self.total_violations,
-            rounds_observed: self.rounds_observed,
-            liveness: false,
-            completion_round: None,
-        }
-    }
-
-    fn observe_round(&mut self, observation: &RoundObservation<'_>) {
+impl Probe for PropertyChecker {
+    fn observe(&mut self, observation: &RoundObservation<'_>) {
         let n = observation.nodes.len();
         if self.previous.len() < n {
             self.previous.resize(n, None);
-            self.first_sync.resize(n, None);
         }
         self.rounds_observed += 1;
 
@@ -223,10 +156,7 @@ impl PropertyChecker {
             }
         }
 
-        // Synch commit and correctness: per-node transition checks, plus
-        // the incremental liveness fold (first-sync rounds and whether this
-        // round has everyone synchronized).
-        let mut all_synced = n > 0;
+        // Synch commit and correctness: per-node transition checks.
         for (i, view) in observation.nodes.iter().enumerate() {
             let current: Option<Option<u64>> = view.output();
             if let (Some(prev_active), Some(cur_active)) = (self.previous[i], current) {
@@ -249,29 +179,8 @@ impl PropertyChecker {
                     _ => {}
                 }
             }
-            match current {
-                Some(Some(_)) => {
-                    if self.first_sync[i].is_none() {
-                        self.first_sync[i] = Some(observation.round);
-                    }
-                }
-                _ => all_synced = false,
-            }
             self.previous[i] = current;
         }
-        self.last_round_all_synced = all_synced;
-    }
-}
-
-impl Observer for PropertyChecker {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        self.observe_round(observation);
-    }
-}
-
-impl Probe for PropertyChecker {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.observe_round(observation);
     }
 }
 
@@ -297,7 +206,7 @@ mod checker_tests {
                 .collect();
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
-            checker.on_round(&RoundObservation {
+            checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
                 actions: &actions,
@@ -346,7 +255,7 @@ mod checker_tests {
     fn synch_commit_violation_detected() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(None)]];
         let checker = run_rounds(&rounds);
-        let report = checker.finish_without_result();
+        let report = checker.finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(
             report.violations[0],
@@ -362,7 +271,7 @@ mod checker_tests {
     #[test]
     fn correctness_violation_detected() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(Some(7))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(
             report.violations[0],
@@ -377,14 +286,14 @@ mod checker_tests {
     #[test]
     fn constant_output_is_a_correctness_violation() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(Some(5))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
     }
 
     #[test]
     fn agreement_violation_detected() {
         let rounds = vec![vec![Some(Some(5)), Some(Some(9))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(report.violations[0], Violation::Agreement { .. }));
     }
@@ -392,7 +301,7 @@ mod checker_tests {
     #[test]
     fn bottom_outputs_do_not_trigger_agreement() {
         let rounds = vec![vec![Some(Some(5)), Some(None), None]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 0);
     }
 
@@ -415,8 +324,7 @@ mod checker_tests {
         for i in 0..100 {
             rounds.push(vec![Some(Some(if i % 2 == 0 { 5 } else { 3 }))]);
         }
-        let checker = PropertyChecker::new().with_max_recorded(10);
-        let mut checker = checker;
+        let mut checker = PropertyChecker::new();
         for (r, outputs) in rounds.iter().enumerate() {
             let nodes: Vec<NodeView> = outputs
                 .iter()
@@ -424,7 +332,7 @@ mod checker_tests {
                 .collect();
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
-            checker.on_round(&RoundObservation {
+            checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
                 actions: &actions,
@@ -435,8 +343,8 @@ mod checker_tests {
                 tally: wsync_radio::trace::RoundTally::default(),
             });
         }
-        let report = checker.finish_without_result();
-        assert_eq!(report.violations.len(), 10);
+        let report = checker.finish(&fake_result(false));
+        assert_eq!(report.violations.len(), MAX_RECORDED);
         assert_eq!(report.total_violations, 99);
     }
 
@@ -450,7 +358,7 @@ mod checker_tests {
             vec![Some(Some(6)), Some(Some(6))],
             vec![Some(Some(7)), Some(Some(7))],
         ];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 0);
     }
 }

@@ -21,13 +21,11 @@
 //! the super-epoch and the total match the paper's stated bounds. See
 //! DESIGN.md §5 for the full discussion.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
 use crate::problem::ProblemInstance;
 
 /// Where a local round falls within the Good Samaritan schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Within super-epoch `super_epoch` (1-based), epoch `epoch` (1-based,
     /// up to `lg N + 2`), at round `round_in_epoch` within the epoch.
@@ -52,7 +50,7 @@ pub enum Phase {
 }
 
 /// Configuration of the Good Samaritan Protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoodSamaritanConfig {
     /// Bound `N` on the number of participants (rounded up to a power of
     /// two).

@@ -27,7 +27,6 @@ mod config;
 pub use config::{GoodSamaritanConfig, Phase};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use wsync_radio::action::Action;
@@ -42,7 +41,7 @@ use crate::timestamp::Timestamp;
 
 /// A samaritan's acknowledgement that a contender has been heard
 /// sufficiently often.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuccessReport {
     /// Unique identifier of the contender the report is about.
     pub contender_uid: u64,
@@ -53,7 +52,7 @@ pub struct SuccessReport {
 }
 
 /// Messages exchanged by the Good Samaritan Protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GoodSamaritanMsg {
     /// A contender's broadcast during the optimistic portion.
     Contender {
@@ -91,7 +90,7 @@ pub enum GoodSamaritanMsg {
 }
 
 /// The role a Good Samaritan node is currently playing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamaritanRole {
     /// Competing to become leader during the optimistic portion.
     Contender,

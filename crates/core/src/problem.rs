@@ -22,11 +22,10 @@
 //! compares outputs, and [`ProblemInstance`] carries the problem parameters
 //! `(N, F, t)` shared by every protocol.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The parameters a wireless synchronization instance is defined over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemInstance {
     /// Known upper bound `N` on the number of participants.
     pub upper_bound_n: u64,
@@ -72,7 +71,7 @@ impl From<wsync_radio::node::ActivationInfo> for ProblemInstance {
 }
 
 /// A node's output for one round: the paper's `ℕ ∪ {⊥}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncOutput {
     /// The node has not yet determined a round number (`⊥`).
     Bottom,

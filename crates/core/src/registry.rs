@@ -36,10 +36,8 @@ use wsync_radio::adversary::{
     AdaptiveGreedyAdversary, Adversary, BurstyAdversary, FixedBandAdversary, NoAdversary,
     ObliviousScheduleAdversary, RandomAdversary, SweepAdversary, TopWeightAdversary,
 };
-use wsync_radio::engine::ExecutionResult;
 use wsync_radio::fault::{CaptureLayer, ChurnLayer, DropLayer, FaultLayer, PartitionLayer};
 use wsync_radio::message::{Feedback, Received};
-use wsync_radio::metrics::SimMetrics;
 use wsync_radio::node::{ActivationInfo, NodeId};
 use wsync_radio::probe::Probe;
 use wsync_radio::protocol::Protocol;
@@ -47,9 +45,9 @@ use wsync_radio::rng::SimRng;
 use wsync_radio::trace::RoundObservation;
 
 use crate::baselines::{RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol};
-use crate::checker::PropertyChecker;
 use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
 use crate::json::Value;
+use crate::report::SyncOutcome;
 use crate::runner::{BoxedAdversary, Scenario, SyncProtocol};
 use crate::spec::{ComponentSpec, ParamReader, Params, SpecError};
 use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
@@ -494,10 +492,12 @@ pub struct ProbeOutput {
 
 /// A registry-built probe: a radio-engine [`Probe`] that additionally
 /// finalizes into a JSON value once the execution completes, so declarative
-/// runs can report what it observed.
+/// runs can report what it observed. Finalization sees the trial's
+/// [`SyncOutcome`], so a probe that only reports what the outcome already
+/// holds observes nothing itself.
 pub trait SimProbe: Probe {
     /// Consumes the probe and produces its output value.
-    fn finish_value(self: Box<Self>, result: &ExecutionResult) -> Value;
+    fn finish_value(self: Box<Self>, outcome: &SyncOutcome) -> Value;
 }
 
 /// Builds a probe for a scenario from declarative parameters.
@@ -535,10 +535,10 @@ impl RegistryProbe {
     }
 
     /// Finalizes the probe into its named output.
-    pub fn finish(self, result: &ExecutionResult) -> ProbeOutput {
+    pub fn finish(self, outcome: &SyncOutcome) -> ProbeOutput {
         ProbeOutput {
             name: self.name,
-            value: self.inner.finish_value(result),
+            value: self.inner.finish_value(outcome),
         }
     }
 }
@@ -547,26 +547,19 @@ impl Probe for RegistryProbe {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
         self.inner.observe(observation);
     }
-
-    fn lookback(&self) -> usize {
-        self.inner.lookback()
-    }
 }
 
-/// The `"metrics"` probe: an independently folded [`SimMetrics`] (the same
-/// aggregates the engine computes, reproduced through the probe pipeline;
-/// the equivalence is pinned by `tests/probe_pipeline.rs`).
-struct MetricsProbe(SimMetrics);
+/// The `"metrics"` probe: the engine's aggregate counters, read from the
+/// outcome's [`SimMetrics`](wsync_radio::metrics::SimMetrics).
+struct MetricsProbe;
 
 impl Probe for MetricsProbe {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.0.observe(observation);
-    }
+    fn observe(&mut self, _observation: &RoundObservation<'_>) {}
 }
 
 impl SimProbe for MetricsProbe {
-    fn finish_value(self: Box<Self>, _result: &ExecutionResult) -> Value {
-        let m = &self.0;
+    fn finish_value(self: Box<Self>, outcome: &SyncOutcome) -> Value {
+        let m = &outcome.result.metrics;
         Value::Object(vec![
             ("rounds".to_string(), m.rounds.into()),
             ("broadcasts".to_string(), m.broadcasts.into()),
@@ -597,29 +590,23 @@ struct MetricsProbeFactory;
 impl ProbeFactory for MetricsProbeFactory {
     fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
         ParamReader::new("metrics", params).finish()?;
-        Ok(Box::new(MetricsProbe(SimMetrics::default())))
+        Ok(Box::new(MetricsProbe))
     }
 }
 
-/// The `"checker"` probe: the streaming [`PropertyChecker`], folding
-/// violations (and, redundantly, liveness) round-by-round. Finalization
-/// goes through [`finish`](PropertyChecker::finish) because an
-/// [`ExecutionResult`] is at hand here and that path is the documented
-/// authority — it reflects the engine's own `is_synchronized` verdicts,
-/// so the probe table can never contradict `SyncOutcome.properties`. The
-/// result-free incremental [`report`](PropertyChecker::report) is
-/// property-tested to agree on every engine-produced execution.
-struct CheckerProbe(PropertyChecker);
+/// The `"checker"` probe: the property verdict the trial's one
+/// [`PropertyChecker`](crate::checker::PropertyChecker) produced, read
+/// from the outcome's `properties`, so the probe table can never
+/// contradict it.
+struct CheckerProbe;
 
 impl Probe for CheckerProbe {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.0.observe(observation);
-    }
+    fn observe(&mut self, _observation: &RoundObservation<'_>) {}
 }
 
 impl SimProbe for CheckerProbe {
-    fn finish_value(self: Box<Self>, result: &ExecutionResult) -> Value {
-        let report = self.0.finish(result);
+    fn finish_value(self: Box<Self>, outcome: &SyncOutcome) -> Value {
+        let report = &outcome.properties;
         Value::Object(vec![
             (
                 "total_violations".to_string(),
@@ -646,60 +633,47 @@ struct CheckerProbeFactory;
 
 impl ProbeFactory for CheckerProbeFactory {
     fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        let mut reader = ParamReader::new("checker", params);
-        let max_recorded = reader.opt_u64("max_recorded")?;
-        reader.finish()?;
-        let mut checker = PropertyChecker::new();
-        if let Some(max) = max_recorded {
-            checker = checker.with_max_recorded(max as usize);
-        }
-        Ok(Box::new(CheckerProbe(checker)))
+        ParamReader::new("checker", params).finish()?;
+        Ok(Box::new(CheckerProbe))
     }
 }
 
-/// The `"trace"` probe: an incremental trace summary — rounds observed,
-/// delivery total, and per-node first-sync rounds, folded in O(n) state.
-/// It deliberately does **not** retain a full trace
+/// The `"trace"` probe: a trace summary — rounds observed and delivery
+/// total, counted in O(1) state, plus per-node first-sync rounds read from
+/// the outcome. It deliberately does **not** retain a full trace
 /// (`rounds × nodes` memory just to finalize into three summary fields);
 /// attach a [`FullTrace`](wsync_radio::trace::FullTrace) probe directly
 /// when the raw events themselves are wanted. The optional `max_rounds`
 /// parameter bounds how many rounds contribute to the summary, mirroring
 /// a truncated trace.
 struct TraceProbe {
-    max_rounds: Option<u64>,
+    max_rounds: u64,
     rounds: u64,
     deliveries: u64,
-    first_sync: Vec<Option<u64>>,
 }
 
 impl Probe for TraceProbe {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
-        if let Some(max) = self.max_rounds {
-            if self.rounds >= max {
-                return;
-            }
-        }
-        self.rounds += 1;
-        self.deliveries += observation.deliveries.len() as u64;
-        if self.first_sync.len() < observation.nodes.len() {
-            self.first_sync.resize(observation.nodes.len(), None);
-        }
-        for (slot, view) in self.first_sync.iter_mut().zip(observation.nodes) {
-            if slot.is_none() && matches!(view.output(), Some(Some(_))) {
-                *slot = Some(observation.round);
-            }
+        if self.rounds < self.max_rounds {
+            self.rounds += 1;
+            self.deliveries += observation.deliveries.len() as u64;
         }
     }
 }
 
 impl SimProbe for TraceProbe {
-    fn finish_value(self: Box<Self>, _result: &ExecutionResult) -> Value {
-        let sync_rounds: Vec<Value> = self
-            .first_sync
+    fn finish_value(self: Box<Self>, outcome: &SyncOutcome) -> Value {
+        // A truncated trace that recorded no round knows no node.
+        let nodes = if self.rounds == 0 {
+            &[][..]
+        } else {
+            &outcome.result.nodes[..]
+        };
+        let sync_rounds: Vec<Value> = nodes
             .iter()
-            .map(|sync| match sync {
-                Some(round) => (*round).into(),
-                None => Value::Null,
+            .map(|node| match node.sync_round {
+                Some(round) if round < self.max_rounds => round.into(),
+                _ => Value::Null,
             })
             .collect();
         Value::Object(vec![
@@ -718,10 +692,9 @@ impl ProbeFactory for TraceProbeFactory {
         let max_rounds = reader.opt_u64("max_rounds")?;
         reader.finish()?;
         Ok(Box::new(TraceProbe {
-            max_rounds,
+            max_rounds: max_rounds.unwrap_or(u64::MAX),
             rounds: 0,
             deliveries: 0,
-            first_sync: Vec::new(),
         }))
     }
 }
@@ -923,7 +896,7 @@ impl Probe for FaultCountersProbe {
 }
 
 impl SimProbe for FaultCountersProbe {
-    fn finish_value(self: Box<Self>, _result: &ExecutionResult) -> Value {
+    fn finish_value(self: Box<Self>, _outcome: &SyncOutcome) -> Value {
         Value::Object(vec![
             (
                 "dropped_deliveries".to_string(),

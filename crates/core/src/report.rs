@@ -1,7 +1,5 @@
 //! Outcome summary of one protocol execution.
 
-use serde::{Deserialize, Serialize};
-
 use wsync_radio::engine::ExecutionResult;
 
 use crate::checker::PropertyReport;
@@ -9,7 +7,7 @@ use crate::checker::PropertyReport;
 /// Everything an experiment needs to know about one execution: the engine's
 /// result, the property-checker verdict, and how many nodes ended the run
 /// believing they are the leader.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncOutcome {
     /// The engine's per-node and aggregate result.
     pub result: ExecutionResult,

@@ -29,8 +29,6 @@ use wsync_radio::node::NodeId;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
-use serde::{Deserialize, Serialize};
-
 use crate::baselines::{RoundRobinProtocol, WakeupProtocol};
 use crate::checker::PropertyChecker;
 use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
@@ -97,7 +95,7 @@ impl SyncProtocol for RoundRobinProtocol {
 /// downstream crates have no variant here — they are addressed by name —
 /// which is why building one goes through the registry
 /// (`registry::build_adversary(&kind.to_component(), scenario, seed)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdversaryKind {
     /// No disruption at all.
     None,
@@ -208,25 +206,6 @@ impl Adversary for BoxedAdversary {
         self.inner.disrupt(round, band, history, rng)
     }
 
-    fn disrupt_with_current(
-        &mut self,
-        round: u64,
-        band: FrequencyBand,
-        history: &History,
-        current_broadcasters: &[u32],
-        current_listeners: &[u32],
-        rng: &mut SimRng,
-    ) -> DisruptionSet {
-        self.inner.disrupt_with_current(
-            round,
-            band,
-            history,
-            current_broadcasters,
-            current_listeners,
-            rng,
-        )
-    }
-
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -238,7 +217,7 @@ impl Adversary for BoxedAdversary {
 /// The declarative, serializable form that additionally names the protocol
 /// is [`ScenarioSpec`](crate::spec::ScenarioSpec); the two convert into
 /// each other losslessly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Actual number of participating devices `n`.
     pub num_nodes: usize,
@@ -374,8 +353,10 @@ pub(crate) fn build_scenario_faults(scenario: &Scenario) -> Vec<Box<dyn FaultLay
 
 /// [`execute`] with declarative probes attached to the engine's stack.
 /// Returns the outcome together with each probe's finalized output, in
-/// declaration order. Probes only observe, so the outcome is bit-identical
-/// with and without them (`tests/engine_golden.rs` pins this).
+/// declaration order; probes finalize against the finished outcome, so the
+/// one [`PropertyChecker`] attached here serves them too. Probes only
+/// observe, so the outcome is bit-identical with and without them
+/// (`tests/engine_golden.rs` pins this).
 pub(crate) fn execute_probed<P, F>(
     scenario: &Scenario,
     factory: F,
@@ -409,15 +390,6 @@ where
     let checker: PropertyChecker = stack
         .take(checker_slot)
         .expect("the checker probe is recoverable from its slot");
-    let outputs: Vec<registry::ProbeOutput> = probe_slots
-        .into_iter()
-        .map(|slot| {
-            stack
-                .take::<registry::RegistryProbe>(slot)
-                .expect("registry probes are recoverable from their slots")
-                .finish(&result)
-        })
-        .collect();
     let leaders = engine.protocols().iter().filter(|p| p.is_leader()).count();
     let outcome = SyncOutcome {
         properties: checker.finish(&result),
@@ -426,6 +398,15 @@ where
         adversary: scenario.adversary.name().to_string(),
         seed,
     };
+    let outputs: Vec<registry::ProbeOutput> = probe_slots
+        .into_iter()
+        .map(|slot| {
+            stack
+                .take::<registry::RegistryProbe>(slot)
+                .expect("registry probes are recoverable from their slots")
+                .finish(&outcome)
+        })
+        .collect();
     (outcome, outputs)
 }
 

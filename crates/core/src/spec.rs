@@ -23,8 +23,6 @@ use std::fmt;
 use wsync_radio::activation::ActivationSchedule;
 use wsync_radio::error::ConfigError;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::{self, JsonError, Value};
 use crate::runner::Scenario;
 use crate::sweep::StoppingRule;
@@ -215,7 +213,7 @@ impl From<JsonError> for SpecError {
 /// Values are JSON [`Value`]s; factories read them through typed accessors
 /// that produce [`SpecError::BadParam`] / [`SpecError::MissingParam`] on
 /// mismatch and reject unknown keys (catching typos at build time).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Params(Vec<(String, Value)>);
 
 impl Params {
@@ -402,7 +400,7 @@ impl<'a> ParamReader<'a> {
 /// registered under that name. `"random".into()` builds a parameterless
 /// spec, so call sites read as
 /// `scenario.with_adversary("random")`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Registry key of the component.
     pub name: String,
@@ -690,7 +688,7 @@ pub fn activation_from_value(value: &Value) -> Result<ActivationSchedule, SpecEr
 /// JSON with [`from_json`](Self::from_json); either way,
 /// [`Sim::from_spec`](crate::sim::Sim::from_spec) turns it into a runnable
 /// simulation after validating everything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The protocol to run (registry name + parameters).
     pub protocol: ComponentSpec,
@@ -1001,7 +999,7 @@ pub struct SweepPoint {
 /// Sweepable field paths: `num_nodes`, `num_frequencies`,
 /// `disruption_bound`, `upper_bound_n`, `max_rounds`,
 /// `protocol.<param>`, and `adversary.<param>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
     /// The field path being swept.
     pub field: String,
@@ -1022,7 +1020,7 @@ impl SweepAxis {
 /// A seed range plus a parameter grid over a base [`ScenarioSpec`]: the
 /// declarative form of a whole experiment (Monte-Carlo trials × sweep
 /// points).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The spec every grid point starts from.
     pub base: ScenarioSpec,

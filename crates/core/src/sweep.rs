@@ -40,8 +40,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use wsync_stats::{
     dominated, quantiles, table::fmt_f64, wilson_ci, CiUndefined, ConfidenceInterval, Table,
 };
@@ -168,7 +166,7 @@ impl SweepReport {
 /// Welford summary ([`ConfidenceInterval::for_summary`]); rate metrics
 /// build a Wilson score interval from its success/trial counters
 /// ([`wilson_ci`]). Both are incremental: the rule never retains samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopMetric {
     /// Mean of the worst per-node rounds-to-sync (over synced trials).
     SyncRoundsMean,
@@ -237,7 +235,7 @@ impl StopMetric {
 }
 
 /// Why an adaptive sweep stopped sampling a grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The metric's confidence interval reached the rule's target width.
     HalfWidth,
@@ -281,7 +279,7 @@ impl std::fmt::Display for StopReason {
 /// points stop, when, or why. [`decide_batch`](Self::decide_batch) is that
 /// pure function; every consumer (in-process runner, fabric workers, the
 /// serving layer) calls it with identically ordered inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoppingRule {
     /// The watched statistic.
     pub metric: StopMetric,

@@ -9,13 +9,12 @@
 //! (largest `ra`, ties broken by `uid`) can never be knocked out.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 use wsync_radio::rng::SimRng;
 
 /// A contender timestamp `(rounds_active, uid)` with lexicographic order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timestamp {
     /// Number of rounds the node has been active (including the current
     /// round).

@@ -7,14 +7,12 @@
 //! with probability 1/2). The multiplicative constants hidden by the `Θ(·)`
 //! are exposed here and swept by the ablation experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
 use crate::problem::ProblemInstance;
 
 /// One row of the Figure 1 schedule: an epoch, its length, and the
 /// per-round broadcast probability used during it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSpec {
     /// 1-based epoch number.
     pub epoch: u32,
@@ -25,7 +23,7 @@ pub struct EpochSpec {
 }
 
 /// Configuration of the Trapdoor Protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrapdoorConfig {
     /// The bound `N` on the number of participants (rounded up to a power of
     /// two, as the paper assumes).

@@ -20,7 +20,6 @@ mod config;
 pub use config::{EpochSpec, TrapdoorConfig};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use wsync_radio::action::Action;
 use wsync_radio::frequency::FrequencyBand;
@@ -32,7 +31,7 @@ use wsync_radio::rng::SimRng;
 use crate::timestamp::Timestamp;
 
 /// Messages exchanged by the Trapdoor Protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapdoorMsg {
     /// A contender announcing its timestamp.
     Contender {
@@ -48,7 +47,7 @@ pub enum TrapdoorMsg {
 }
 
 /// The role a Trapdoor node is currently playing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapdoorRole {
     /// Still competing: proceeding through the epochs.
     Contender,

@@ -1,6 +1,5 @@
 //! Experiment effort levels and report containers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 use wsync_core::sweep::StoppingRule;
@@ -12,7 +11,7 @@ use wsync_stats::Table;
 ///   whole suite stays fast.
 /// * `Quick` — the default of the command-line generators; minutes of work.
 /// * `Full` — the publication-grade setting recorded in EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Tiny parameters, suitable for unit tests.
     Smoke,
@@ -88,7 +87,7 @@ impl Effort {
 
 /// The result of one experiment: an identifier, what it claims to reproduce,
 /// the generated tables, and free-form observations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentReport {
     /// Experiment identifier (e.g. `"T10a"`), matching EXPERIMENTS.md.
     pub id: String,

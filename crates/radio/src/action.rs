@@ -1,7 +1,5 @@
 //! Per-round actions a node can take.
 
-use serde::{Deserialize, Serialize};
-
 use crate::frequency::Frequency;
 
 /// What a node does in a single round.
@@ -12,7 +10,7 @@ use crate::frequency::Frequency;
 /// `Sleep` is an extension (not used by the paper's protocols) that lets a
 /// node skip a round entirely — useful for modelling crashed or
 /// energy-saving nodes in the fault-tolerance experiments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action<M> {
     /// Broadcast `message` on `frequency`.
     Broadcast {

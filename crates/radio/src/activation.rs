@@ -7,12 +7,11 @@
 //! activation round per node.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
 /// A rule assigning each of the `n` participating nodes an activation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivationSchedule {
     /// All nodes are activated in round 0. This is the "good execution"
     /// assumption of the Good Samaritan analysis and of the Theorem 1

@@ -1,14 +1,12 @@
 //! An adaptive jammer that targets the historically busiest frequencies.
 
-use serde::{Deserialize, Serialize};
-
 use super::{top_k_weights, Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
 use crate::history::History;
 use crate::rng::SimRng;
 
 /// What the greedy adversary tries to maximise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GreedyTarget {
     /// Jam the frequencies with the most listeners in the recent past
     /// (maximises prevented receptions).
@@ -31,22 +29,18 @@ pub enum GreedyTarget {
 /// [`History::listener_counts_into`] /
 /// [`History::broadcaster_counts_into`] accessors — no per-round
 /// allocation beyond the returned [`DisruptionSet`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveGreedyAdversary {
     t: u32,
     lookback: usize,
     target: GreedyTarget,
     /// Reusable per-frequency count buffer (listeners, or broadcasters for
-    /// the broadcaster target). Skipped by serde: scratch is per-run
-    /// state, not configuration, and keeping it out of the wire form
-    /// matches the config-only `PartialEq` below.
-    #[serde(skip)]
+    /// the broadcaster target). Scratch is per-run state, not
+    /// configuration, so the `PartialEq` below ignores it.
     counts: Vec<u64>,
     /// Second count buffer for the combined-activity target.
-    #[serde(skip)]
     counts_b: Vec<u64>,
     /// Reusable weight buffer fed to the top-`k` selection.
-    #[serde(skip)]
     weights: Vec<f64>,
 }
 

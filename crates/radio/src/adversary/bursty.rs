@@ -1,7 +1,6 @@
 //! Bursty interference: quiet periods alternating with full-budget bursts.
 
 use rand::seq::index::sample;
-use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
@@ -11,7 +10,7 @@ use crate::rng::SimRng;
 /// Alternates between quiet phases (no disruption) and burst phases in which
 /// `t` random frequencies are jammed each round. Models duty-cycled
 /// interference such as microwave ovens or periodic beacon traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstyAdversary {
     t: u32,
     /// Length of one full cycle (burst + quiet), in rounds.

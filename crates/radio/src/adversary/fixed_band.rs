@@ -1,7 +1,5 @@
 //! The static adversary that always disrupts a fixed prefix of the band.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
 use crate::history::History;
@@ -12,7 +10,7 @@ use crate::rng::SimRng;
 /// This is exactly the "weak adversary" used in the proof of Theorem 1
 /// ("disrupts frequencies 1 to t in every round"); it also models a static
 /// narrowband interferer permanently occupying part of the band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedBandAdversary {
     t: u32,
 }

@@ -23,7 +23,6 @@
 use crate::frequency::{Frequency, FrequencyBand};
 use crate::history::History;
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 mod adaptive_greedy;
 mod bursty;
@@ -57,7 +56,7 @@ pub use sweep::SweepAdversary;
 /// 0-based frequency indices whose `mask` slot is `true`. Because the list
 /// is canonical, the derived `PartialEq` (which compares both fields)
 /// agrees with set equality.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DisruptionSet {
     mask: Vec<bool>,
     indices: Vec<u32>,
@@ -151,10 +150,10 @@ impl DisruptionSet {
 /// An interference adversary.
 ///
 /// Implementations are driven by the engine once per round, *before* the
-/// round's node actions are known (matching the model's information rule).
-/// The engine additionally exposes an "omniscient" stress-test mode through
-/// [`Adversary::disrupt_with_current`], which by default simply ignores the
-/// current-round information.
+/// round's node actions are known: per the model (Section 2) an adversary
+/// sees only the completed execution through round `r − 1`, which is
+/// exactly the [`History`] passed to [`disrupt`](Adversary::disrupt).
+/// Oblivious adversaries ignore it; adaptive ones read it.
 pub trait Adversary {
     /// The maximum number of frequencies this adversary will disrupt per
     /// round (the model's `t`). The engine also clamps to the configured
@@ -165,17 +164,14 @@ pub trait Adversary {
     /// most per [`disrupt`](Adversary::disrupt) call (its maximum
     /// lookback).
     ///
-    /// The engine derives its history retention window from this demand
-    /// plus the attached probes' (see
-    /// [`HistoryRetention::Demand`](crate::engine::HistoryRetention)):
+    /// The engine's history retention window is exactly this demand:
     /// `Some(0)` — the right answer for an adversary that never reads the
-    /// history — lets outcome-only runs hold O(1) round state. The default
-    /// is `None`, meaning "unknown": the engine then retains the *full*
-    /// history, which is always behaviour-safe but grows with
-    /// `max_rounds × F` — implement this honestly (or configure an
-    /// explicit retention window) before running such an adversary for
-    /// millions of rounds. An implementation that overrides this must
-    /// never read further back than it declares.
+    /// history — lets runs hold O(1) round state. The default is `None`,
+    /// meaning "unknown": the engine then retains the *full* history, which
+    /// is always behaviour-safe but grows with `max_rounds × F` — implement
+    /// this honestly before running such an adversary for millions of
+    /// rounds. An implementation that overrides this must never read
+    /// further back than it declares.
     fn max_lookback(&self) -> Option<usize> {
         None
     }
@@ -189,23 +185,6 @@ pub trait Adversary {
         history: &History,
         rng: &mut SimRng,
     ) -> DisruptionSet;
-
-    /// Omniscient variant used only when the engine is explicitly configured
-    /// for stress tests: `current_listeners`/`current_broadcasters` describe
-    /// the *current* round's choices per frequency (0-based index). The
-    /// default implementation ignores them and defers to
-    /// [`disrupt`](Adversary::disrupt).
-    fn disrupt_with_current(
-        &mut self,
-        round: u64,
-        band: FrequencyBand,
-        history: &History,
-        _current_broadcasters: &[u32],
-        _current_listeners: &[u32],
-        rng: &mut SimRng,
-    ) -> DisruptionSet {
-        self.disrupt(round, band, history, rng)
-    }
 
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &'static str {

@@ -1,7 +1,5 @@
 //! The trivial adversary that never disrupts anything.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
 use crate::history::History;
@@ -9,7 +7,7 @@ use crate::rng::SimRng;
 
 /// An adversary that disrupts nothing. Models an interference-free band and
 /// serves as the best-case baseline in experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoAdversary;
 
 impl NoAdversary {

@@ -10,7 +10,6 @@
 
 use rand::seq::index::sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
@@ -21,7 +20,7 @@ use crate::rng::SimRng;
 ///
 /// Round `r` uses entry `r mod schedule.len()`; an empty schedule disrupts
 /// nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObliviousScheduleAdversary {
     /// Per-round sets of 1-based frequency indices to disrupt.
     schedule: Vec<Vec<u32>>,

@@ -13,15 +13,13 @@
 //! accordingly; a static weight vector models a protocol with a fixed
 //! per-round distribution.
 
-use serde::{Deserialize, Serialize};
-
 use super::{top_k_weights, Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
 use crate::history::History;
 use crate::rng::SimRng;
 
 /// Jams the `t` frequencies with the largest weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopWeightAdversary {
     t: u32,
     weights: Vec<f64>,

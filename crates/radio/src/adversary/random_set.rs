@@ -2,7 +2,6 @@
 //! round.
 
 use rand::seq::index::sample;
-use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
@@ -11,7 +10,7 @@ use crate::rng::SimRng;
 
 /// Disrupts `t` frequencies chosen uniformly at random (without replacement)
 /// in every round. Models wideband unpredictable noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomAdversary {
     t: u32,
 }

@@ -1,7 +1,5 @@
 //! A swept-frequency jammer.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
 use crate::history::History;
@@ -10,7 +8,7 @@ use crate::rng::SimRng;
 /// Disrupts a contiguous window of `t` frequencies that slides across the
 /// band, wrapping around at the end. Models a swept-frequency jammer or a
 /// frequency-hopping interferer with a predictable pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepAdversary {
     t: u32,
     /// How many frequencies the window advances per round.

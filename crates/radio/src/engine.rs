@@ -50,38 +50,10 @@ use crate::node::{ActivationInfo, NodeId};
 use crate::probe::{Probe, ProbeStack};
 use crate::protocol::Protocol;
 use crate::rng::{SimRng, StreamId};
-use crate::trace::{ActionView, Delivery, NodeView, Observer, RoundObservation, RoundTally};
-
-use serde::{Deserialize, Serialize};
-
-/// How much of the completed-round [`History`] the engine retains for the
-/// adversary and the probes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HistoryRetention {
-    /// Derive the window from the registered demand: the maximum of the
-    /// adversary's [`max_lookback`](Adversary::max_lookback) and every
-    /// attached probe's [`lookback`](Probe::lookback). With only bounded
-    /// demands an outcome-only run holds O(window) — for the history-free
-    /// adversaries, O(1) — round state. This is the default.
-    ///
-    /// An adversary that declares `None` (unknown lookback — the trait
-    /// default for impls outside this crate) falls back to **full**
-    /// retention: correctness over memory, since truncating an
-    /// unknown-depth consumer would silently change its behaviour. Full
-    /// retention grows with `max_rounds × F`; long-running simulations of
-    /// such an adversary should either implement
-    /// [`max_lookback`](Adversary::max_lookback) honestly or pin an
-    /// explicit [`Window`](Self::Window).
-    #[default]
-    Demand,
-    /// Retain exactly the last `w` completed rounds, regardless of demand.
-    Window(usize),
-    /// Retain every completed round.
-    Full,
-}
+use crate::trace::{ActionView, Delivery, NodeView, RoundObservation, RoundTally};
 
 /// Static configuration of a simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Actual number of participating nodes `n`.
     pub num_nodes: usize,
@@ -98,14 +70,6 @@ pub struct SimConfig {
     /// Number of additional rounds to keep simulating after every node has
     /// synchronized (useful for observing that outputs keep incrementing).
     pub extra_rounds_after_sync: u64,
-    /// If `true`, the adversary is shown the current round's actions
-    /// (stronger than the model allows; stress-testing only).
-    pub adversary_sees_current_round: bool,
-    /// How much adversary-visible history the engine retains. Retention
-    /// never changes an outcome as long as it covers every consumer's
-    /// declared lookback — which [`HistoryRetention::Demand`] guarantees by
-    /// construction.
-    pub history_retention: HistoryRetention,
 }
 
 impl SimConfig {
@@ -120,8 +84,6 @@ impl SimConfig {
             disruption_bound,
             max_rounds: 1_000_000,
             extra_rounds_after_sync: 0,
-            adversary_sees_current_round: false,
-            history_retention: HistoryRetention::Demand,
         }
     }
 
@@ -140,19 +102,6 @@ impl SimConfig {
     /// Keeps simulating for `extra` rounds after all nodes synchronize.
     pub fn with_extra_rounds_after_sync(mut self, extra: u64) -> Self {
         self.extra_rounds_after_sync = extra;
-        self
-    }
-
-    /// Lets the adversary observe the current round's actions
-    /// (stress-testing mode, stronger than the paper's model).
-    pub fn with_omniscient_adversary(mut self, enabled: bool) -> Self {
-        self.adversary_sees_current_round = enabled;
-        self
-    }
-
-    /// Sets the adversary-visible history retention policy.
-    pub fn with_history_retention(mut self, retention: HistoryRetention) -> Self {
-        self.history_retention = retention;
         self
     }
 
@@ -198,7 +147,7 @@ impl SimConfig {
 }
 
 /// Per-node outcome of an execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSummary {
     /// The node.
     pub id: NodeId,
@@ -221,7 +170,7 @@ impl NodeSummary {
 }
 
 /// The result of running an execution to completion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionResult {
     /// Number of rounds simulated.
     pub rounds_executed: u64,
@@ -292,7 +241,7 @@ struct RoundScratch<M> {
     /// Per-node broadcast payload slot, indexed by node index. `Some` only
     /// for nodes that broadcast this round.
     payloads: Vec<Option<M>>,
-    /// Per-node observer view, indexed by node index.
+    /// Per-node probe view, indexed by node index.
     node_views: Vec<NodeView>,
     /// Per-frequency broadcaster count (0-based frequency index).
     broadcasters: Vec<u32>,
@@ -419,9 +368,10 @@ fn merge_into_active(active: &mut Vec<u32>, in_active: &mut [bool], incoming: &[
 /// own [`History`] and [`SimMetrics`] — both [`Probe`]s — observe first,
 /// followed by the user probes attached with
 /// [`attach_probe`](Engine::attach_probe), composed in a [`ProbeStack`]
-/// the engine owns. Probes never perturb the execution, and the history
-/// retention window is derived from the maximum lookback the adversary and
-/// the probes register (see [`HistoryRetention`]).
+/// the engine owns. Probes never perturb the execution. The history
+/// retention window is the adversary's declared
+/// [`max_lookback`](Adversary::max_lookback), with `None` meaning full
+/// retention.
 pub struct Engine<P: Protocol, A: Adversary> {
     config: SimConfig,
     adversary: A,
@@ -509,14 +459,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             .map(|(i, &r)| (r, i as u32))
             .collect();
         wake_queue.sort_unstable();
-        let history = match config.history_retention {
-            HistoryRetention::Window(w) => History::with_window(w),
-            HistoryRetention::Full => History::new(),
-            HistoryRetention::Demand => match adversary.max_lookback() {
-                // Unknown demand: retaining everything is always safe.
-                None => History::new(),
-                Some(k) => History::with_window(k.max(1)),
-            },
+        let history = match adversary.max_lookback() {
+            // Unknown demand: retaining everything is always safe.
+            None => History::new(),
+            Some(k) => History::with_window(k.max(1)),
         };
         Ok(Engine {
             config,
@@ -575,28 +521,11 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 
     /// Attaches a probe to the engine's stack, returning its slot (use it
     /// with [`take_probes`](Engine::take_probes) and
-    /// [`ProbeStack::take`] to recover the probe after the run).
-    ///
-    /// Under [`HistoryRetention::Demand`] the retained history window is
-    /// widened to cover the probe's declared
-    /// [`lookback`](Probe::lookback); attach probes before the first round
-    /// runs so the demand is registered while the history is still empty.
-    /// Explicit [`Window`](HistoryRetention::Window) /
-    /// [`Full`](HistoryRetention::Full) policies are never adjusted —
-    /// widening a caller-pinned window could change what the *adversary*
-    /// sees and thereby let a probe perturb the outcome, which probes must
-    /// never do (a probe demanding more than an explicit window simply
-    /// observes the starved history the caller configured).
+    /// [`ProbeStack::take`] to recover the probe after the run). Attach
+    /// probes before the first round runs; a probe attached mid-run misses
+    /// the rounds already resolved.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) -> usize {
-        if self.config.history_retention == HistoryRetention::Demand {
-            self.history.widen_window(probe.lookback());
-        }
         self.probes.push(probe)
-    }
-
-    /// The user probes attached so far.
-    pub fn probes(&self) -> &ProbeStack {
-        &self.probes
     }
 
     /// Attaches a network-fault layer, applied between the resolution pass
@@ -633,27 +562,9 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     /// synchronized (plus the configured number of extra rounds), or when
     /// `max_rounds` is reached.
     pub fn run(&mut self) -> ExecutionResult {
-        self.run_loop(None)
-    }
-
-    /// Runs the execution to completion, additionally reporting every round
-    /// to a borrowed `observer` (after the attached probes).
-    ///
-    /// This is the pre-probe observation hook, kept for callers with
-    /// short-lived observers; new code should prefer
-    /// [`attach_probe`](Engine::attach_probe), which composes, registers
-    /// lookback demand, and has no lifetime entanglement with the engine.
-    pub fn run_with_observer(&mut self, observer: &mut dyn Observer) -> ExecutionResult {
-        self.run_loop(Some(observer))
-    }
-
-    fn run_loop(&mut self, mut extra: Option<&mut dyn Observer>) -> ExecutionResult {
         let mut extra_remaining: Option<u64> = None;
         while self.round < self.config.max_rounds {
-            self.step_observing(match extra {
-                Some(ref mut o) => Some(&mut **o),
-                None => None,
-            });
+            self.step();
             match extra_remaining {
                 None => {
                     if self.all_synchronized() {
@@ -680,16 +591,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     /// feedback — O(active + touched) per round, with no heap allocation
     /// in steady state.
     pub fn step(&mut self) {
-        self.step_observing(None);
-    }
-
-    /// Executes exactly one round, additionally reporting it to a borrowed
-    /// `observer` after the attached probes.
-    pub fn step_with(&mut self, observer: &mut dyn Observer) {
-        self.step_observing(Some(observer));
-    }
-
-    fn step_observing(&mut self, extra: Option<&mut dyn Observer>) {
         let round = self.round;
         let band = self.config.band();
         let f_count = self.config.num_frequencies as usize;
@@ -842,20 +743,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         }
         self.scratch.tally.active_nodes = self.active.len() as u32;
 
-        // 3. Adversary.
-        let mut disrupted = if self.config.adversary_sees_current_round {
-            self.adversary.disrupt_with_current(
-                round,
-                band,
-                &self.history,
-                &self.scratch.broadcasters,
-                &self.scratch.listeners,
-                &mut self.adversary_rng,
-            )
-        } else {
+        // 3. Adversary: it sees the history through the previous round only.
+        let mut disrupted =
             self.adversary
-                .disrupt(round, band, &self.history, &mut self.adversary_rng)
-        };
+                .disrupt(round, band, &self.history, &mut self.adversary_rng);
         let removed = disrupted.truncate_to_budget(self.config.disruption_bound as usize);
         self.scratch.tally.adversary_clamped = removed > 0;
         self.scratch.tally.disrupted_frequencies = disrupted.len() as u32;
@@ -1008,8 +899,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 
         // 6. Observation fan-out: one borrowed view of the resolved round
         // streams through the probe pipeline — the metrics fold, the user
-        // probe stack, an optional borrowed observer, and the
-        // adversary-visible history (which copies the activity slice into a
+        // probe stack, and the adversary-visible history (which copies the activity slice into a
         // recycled record buffer). Probes only read the observation, so
         // their order is unobservable; history goes last by convention.
         let observation = RoundObservation {
@@ -1024,9 +914,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         };
         self.metrics.observe(&observation);
         self.probes.observe(&observation);
-        if let Some(observer) = extra {
-            observer.on_round(&observation);
-        }
         self.history.observe(&observation);
         self.round = round + 1;
     }
@@ -1274,8 +1161,9 @@ mod tests {
                 seed,
             )
             .unwrap();
-            let mut trace = FullTrace::new();
-            let result = engine.run_with_observer(&mut trace);
+            let slot = engine.attach_probe(Box::new(FullTrace::new()));
+            let result = engine.run();
+            let trace: FullTrace = engine.take_probes().take(slot).unwrap();
             (result, trace.events().to_vec())
         };
         let (r1, t1) = run(99);
@@ -1297,8 +1185,9 @@ mod tests {
             5,
         )
         .unwrap();
-        let mut trace = FullTrace::new();
-        let result = engine.run_with_observer(&mut trace);
+        let slot = engine.attach_probe(Box::new(FullTrace::new()));
+        let result = engine.run();
+        let trace: FullTrace = engine.take_probes().take(slot).unwrap();
         assert_eq!(trace.len() as u64, result.rounds_executed);
         for event in trace.events() {
             assert_eq!(event.disrupted, vec![1, 2]);

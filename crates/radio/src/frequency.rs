@@ -6,13 +6,12 @@
 //! index keeps the code close to the text).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::rng::SimRng;
 
 /// A single narrowband frequency, identified by a 1-based index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u32);
 
 impl Frequency {
@@ -53,7 +52,7 @@ impl fmt::Display for Frequency {
 /// Provides uniform sampling over the whole band or over a prefix
 /// `[1..=limit]` — the paper's protocols repeatedly sample uniformly from
 /// prefixes such as `[1..F']`, `[1..2^k]`, or `[1..2^d]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrequencyBand {
     count: u32,
 }

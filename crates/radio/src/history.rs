@@ -5,7 +5,6 @@
 //! completed execution up to the end of round `r − 1`". [`History`] is the
 //! engine's record of completed rounds in a form adversaries can query.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::frequency::{Frequency, FrequencyBand};
@@ -13,7 +12,7 @@ use crate::probe::Probe;
 use crate::trace::RoundObservation;
 
 /// Per-frequency activity observed in one completed round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrequencyActivity {
     /// Number of nodes that broadcast on the frequency.
     pub broadcasters: u32,
@@ -29,7 +28,7 @@ pub struct FrequencyActivity {
 }
 
 /// Everything the adversary may know about one completed round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRecord {
     /// The global round number.
     pub round: u64,
@@ -72,16 +71,17 @@ impl RoundRecord {
 /// The completed-round history of an execution.
 ///
 /// The engine appends one [`RoundRecord`] per completed round. To keep
-/// long executions cheap, the engine can be configured to retain only the
-/// most recent `w` rounds (see [`History::with_window`]); all adversaries in
-/// this crate only look a bounded number of rounds back.
+/// long executions cheap it retains only the most recent `w` rounds (see
+/// [`History::with_window`]), where `w` is the adversary's declared
+/// [`max_lookback`](crate::adversary::Adversary::max_lookback); all
+/// adversaries in this crate only look a bounded number of rounds back.
 ///
 /// Records are stored in a ring buffer, so windowed retention is O(1) per
 /// round, and the engine appends through
 /// [`push_recycled`](History::push_recycled), which reuses the evicted
 /// record's per-frequency buffer — in steady state the history performs no
 /// heap allocation at all.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct History {
     records: VecDeque<RoundRecord>,
     window: Option<usize>,
@@ -106,20 +106,6 @@ impl History {
     /// The retention window, if bounded.
     pub fn window(&self) -> Option<usize> {
         self.window
-    }
-
-    /// Raises the retention window so that at least `window` rounds are
-    /// retained from here on (a no-op when the history already retains that
-    /// much, or everything). The engine calls this when a newly attached
-    /// probe registers a larger lookback than the window derived so far;
-    /// rounds already evicted are not resurrected, so demand should be
-    /// registered before the first round runs.
-    pub fn widen_window(&mut self, window: usize) {
-        if let Some(w) = self.window {
-            if w < window.max(1) {
-                self.window = Some(window.max(1));
-            }
-        }
     }
 
     /// Evicts the oldest record if the retention window is full, returning

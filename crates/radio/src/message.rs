@@ -1,7 +1,5 @@
 //! Message delivery and per-round feedback.
 
-use serde::{Deserialize, Serialize};
-
 use crate::frequency::Frequency;
 use crate::node::NodeId;
 
@@ -12,7 +10,7 @@ use crate::node::NodeId;
 /// field identifies the simulation-level sender for tracing purposes; the
 /// protocols in `wsync-core` never inspect it (all protocol-visible identity
 /// lives inside the payload, as in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Received<M> {
     /// Simulation identity of the sender (for traces/metrics only).
     pub sender: NodeId,
@@ -28,7 +26,7 @@ pub struct Received<M> {
 /// nothing about whether its broadcast was received (there is no collision
 /// detection and no channel sensing), and a listener cannot distinguish
 /// silence, collision, and disruption.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feedback<M> {
     /// The node listened and received a message.
     Received(Received<M>),

@@ -1,13 +1,11 @@
 //! Aggregate execution metrics collected by the engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::probe::Probe;
 use crate::trace::RoundObservation;
 
 /// Cheap aggregate counters collected during every execution, regardless of
 /// the trace level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Number of rounds executed.
     pub rounds: u64,

@@ -1,6 +1,5 @@
 //! Node identities and activation information.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one of the `N` potential participants of an execution.
@@ -10,7 +9,7 @@ use std::fmt;
 /// that need identifiers (the paper's timestamps use a `uid` drawn from
 /// `[1..cN²]`) draw them at random when activated, exactly as the paper
 /// prescribes (Section 6.1, footnote 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -42,7 +41,7 @@ impl fmt::Display for NodeId {
 /// number of participants, the number of frequencies `F`, and the disruption
 /// bound `t` — but *not* the global round number, the actual number of
 /// participants, or when other nodes were or will be activated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivationInfo {
     /// Upper bound `N ≥ n` on the number of participating nodes.
     pub upper_bound_n: u64,

@@ -1,21 +1,13 @@
 //! The streaming observation pipeline: the [`Probe`] trait and the owned
 //! [`ProbeStack`] composition.
 //!
-//! Historically the engine fed four parallel observation channels — the
-//! adversary-facing [`History`](crate::history::History) ring, the
-//! [`SimMetrics`](crate::metrics::SimMetrics) counters, the
-//! [`Observer`](crate::trace::Observer)/trace layer, and a post-hoc property
-//! checker — each with its own data shapes and buffers. The paper's model
-//! (Section 2) is naturally a single per-round event stream: the adversary
-//! sees the completed execution through round `r − 1`, and the
-//! synchronization properties are per-round invariants over deliveries and
-//! outputs. [`Probe`] is that unification: every consumer of a resolved
-//! round implements one trait, observes the engine's reusable
-//! structure-of-arrays scratch through a borrowed
-//! [`RoundObservation`] (no per-round allocation), and
-//! declares how much retained history it needs via
-//! [`lookback`](Probe::lookback) so the engine can derive the minimal
-//! [`History`](crate::history::History) retention window.
+//! The paper's model (Section 2) is naturally a single per-round event
+//! stream: the adversary sees the completed execution through round
+//! `r − 1`, and the synchronization properties are per-round invariants
+//! over deliveries and outputs. [`Probe`] is the one way to consume that
+//! stream: every consumer of a resolved round implements it and observes
+//! the engine's reusable structure-of-arrays scratch through a borrowed
+//! [`RoundObservation`] (no per-round allocation).
 //!
 //! [`History`](crate::history::History),
 //! [`SimMetrics`](crate::metrics::SimMetrics),
@@ -23,8 +15,7 @@
 //! checker all implement `Probe`; the engine composes its own history and
 //! metrics probes with any user-attached ones
 //! ([`Engine::attach_probe`](crate::engine::Engine::attach_probe)) in a
-//! [`ProbeStack`] it owns. A `ProbeStack` is itself a `Probe`, so stacks
-//! nest.
+//! [`ProbeStack`] it owns.
 
 use std::any::Any;
 
@@ -66,24 +57,8 @@ impl<T: Any> AsAny for T {
 /// attaching or removing probes cannot change a single bit of the engine's
 /// outcome (`tests/engine_golden.rs` pins this).
 pub trait Probe: AsAny {
-    /// Observes one completed round. (Named `observe` rather than
-    /// `on_round` so that types can implement both `Probe` and the legacy
-    /// [`Observer`](crate::trace::Observer) without method-call
-    /// ambiguity.)
+    /// Observes one completed round.
     fn observe(&mut self, observation: &RoundObservation<'_>);
-
-    /// How many completed rounds of engine [`History`](crate::history::History)
-    /// this probe needs retained (its maximum lookback through
-    /// [`Engine::history`](crate::engine::Engine::history)).
-    ///
-    /// The engine derives its history retention window from the maximum
-    /// lookback over the adversary and every attached probe (see
-    /// [`HistoryRetention::Demand`](crate::engine::HistoryRetention)), so a
-    /// probe that only reads its own `on_round` stream — the common case —
-    /// keeps the default of `0` and costs no retention at all.
-    fn lookback(&self) -> usize {
-        0
-    }
 }
 
 /// A probe that ignores every round. Placeholder returned into a
@@ -120,32 +95,11 @@ impl ProbeStack {
         ProbeStack::default()
     }
 
-    /// A stack over the given probes, in observation order.
-    pub fn with_probes(probes: Vec<Box<dyn Probe>>) -> Self {
-        ProbeStack { probes }
-    }
-
     /// Appends a probe, returning its slot index (stable for the lifetime
-    /// of the stack; use it with [`get_mut`](Self::get_mut) /
-    /// [`take`](Self::take)).
+    /// of the stack; use it with [`take`](Self::take)).
     pub fn push(&mut self, probe: Box<dyn Probe>) -> usize {
         self.probes.push(probe);
         self.probes.len() - 1
-    }
-
-    /// Number of probes in the stack.
-    pub fn len(&self) -> usize {
-        self.probes.len()
-    }
-
-    /// Whether the stack holds no probes.
-    pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
-    }
-
-    /// The maximum [`lookback`](Probe::lookback) over the stack.
-    pub fn lookback(&self) -> usize {
-        self.probes.iter().map(|p| p.lookback()).max().unwrap_or(0)
     }
 
     /// Fans one observation out to every probe, in insertion order.
@@ -153,12 +107,6 @@ impl ProbeStack {
         for probe in self.probes.iter_mut() {
             probe.observe(observation);
         }
-    }
-
-    /// Mutable access to the probe in `slot` (e.g. to downcast and inspect
-    /// mid-run state).
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut dyn Probe> {
-        self.probes.get_mut(slot).map(|b| &mut **b)
     }
 
     /// Removes the probe in `slot` and downcasts it to its concrete type,
@@ -174,21 +122,6 @@ impl ProbeStack {
         let boxed = std::mem::replace(slot, Box::new(NullProbe));
         boxed.into_any().downcast::<T>().ok().map(|b| *b)
     }
-
-    /// Consumes the stack, returning the owned probes in insertion order.
-    pub fn into_inner(self) -> Vec<Box<dyn Probe>> {
-        self.probes
-    }
-}
-
-impl Probe for ProbeStack {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        ProbeStack::observe(self, observation);
-    }
-
-    fn lookback(&self) -> usize {
-        ProbeStack::lookback(self)
-    }
 }
 
 #[cfg(test)]
@@ -199,15 +132,11 @@ mod tests {
 
     struct Counter {
         rounds: u64,
-        lookback: usize,
     }
 
     impl Probe for Counter {
         fn observe(&mut self, _observation: &RoundObservation<'_>) {
             self.rounds += 1;
-        }
-        fn lookback(&self) -> usize {
-            self.lookback
         }
     }
 
@@ -232,16 +161,8 @@ mod tests {
     #[test]
     fn stack_fans_out_and_reports_max_lookback() {
         let mut stack = ProbeStack::new();
-        let a = stack.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 3,
-        }));
-        let b = stack.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 9,
-        }));
-        assert_eq!(stack.len(), 2);
-        assert_eq!(stack.lookback(), 9);
+        let a = stack.push(Box::new(Counter { rounds: 0 }));
+        let b = stack.push(Box::new(Counter { rounds: 0 }));
 
         let disrupted = DisruptionSet::empty(2);
         let nodes = [NodeView::Active { output: None }];
@@ -252,10 +173,9 @@ mod tests {
         let first: Counter = stack.take(a).expect("slot a downcasts");
         assert_eq!(first.rounds, 4);
         // taking leaves a NullProbe behind; slot b is still addressable
-        assert_eq!(stack.lookback(), 9);
         let second: Counter = stack.take(b).expect("slot b downcasts");
         assert_eq!(second.rounds, 4);
-        assert_eq!(stack.lookback(), 0);
+        assert!(stack.take::<Counter>(a).is_none());
     }
 
     #[test]
@@ -266,24 +186,5 @@ mod tests {
         assert!(stack.take::<FullTrace>(99).is_none());
         // the failed typed take must not have disturbed the slot
         assert!(stack.take::<FullTrace>(slot).is_some());
-    }
-
-    #[test]
-    fn stacks_nest() {
-        let mut inner = ProbeStack::new();
-        inner.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 5,
-        }));
-        let mut outer = ProbeStack::new();
-        let slot = outer.push(Box::new(inner));
-        assert_eq!(outer.lookback(), 5);
-        let disrupted = DisruptionSet::empty(1);
-        let nodes = [NodeView::Inactive];
-        let actions = [ActionView::Inactive];
-        outer.observe(&observation(0, &nodes, &actions, &disrupted));
-        let mut inner: ProbeStack = outer.take(slot).unwrap();
-        let counter: Counter = inner.take(0).unwrap();
-        assert_eq!(counter.rounds, 1);
     }
 }

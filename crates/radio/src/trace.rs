@@ -1,16 +1,13 @@
-//! Execution observation views: [`RoundObservation`], the legacy
-//! [`Observer`] hook, and the in-memory [`FullTrace`] recorder.
+//! Execution observation views: [`RoundObservation`] and the in-memory
+//! [`FullTrace`] recorder.
 //!
-//! The engine reports every resolved round — through the
-//! [`Probe`] pipeline and, for backwards
-//! compatibility, through [`Observer`] — as one borrowed
-//! [`RoundObservation`] over its reusable structure-of-arrays scratch.
+//! The engine reports every resolved round through the [`Probe`] pipeline
+//! as one borrowed [`RoundObservation`] over its reusable
+//! structure-of-arrays scratch.
 //! The `wsync-core` property checker consumes the same stream to verify
 //! the five requirements of the wireless synchronization problem online
 //! with O(n) memory; [`FullTrace`] records everything and is intended for
 //! tests and debugging of small executions.
-
-use serde::{Deserialize, Serialize};
 
 use crate::adversary::DisruptionSet;
 use crate::frequency::Frequency;
@@ -19,7 +16,7 @@ use crate::node::NodeId;
 use crate::probe::Probe;
 
 /// A node's externally visible state in one round, as seen by observers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeView {
     /// The node has not been activated yet.
     Inactive,
@@ -54,7 +51,7 @@ impl NodeView {
 }
 
 /// A compact description of a node's action in one round, for observers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionView {
     /// Not activated yet.
     Inactive,
@@ -69,7 +66,7 @@ pub enum ActionView {
 }
 
 /// A successful message delivery in one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// The frequency the message was delivered on.
     pub frequency: Frequency,
@@ -83,7 +80,7 @@ pub struct Delivery {
 /// round — the structure-of-arrays passes tally these for free, so probes
 /// that only fold aggregates (like [`SimMetrics`](crate::metrics::SimMetrics))
 /// never re-scan the per-node or per-frequency slices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTally {
     /// Number of active nodes this round.
     pub active_nodes: u32,
@@ -123,12 +120,11 @@ pub struct RoundTally {
     pub restarted_nodes: u32,
 }
 
-/// Everything a probe or observer sees about one completed round.
+/// Everything a probe sees about one completed round.
 ///
 /// The slices borrow the engine's reusable per-round buffers and are valid
-/// only for the duration of the [`Probe::observe`] /
-/// [`Observer::on_round`] call — a consumer that retains data across
-/// rounds must copy it (as [`FullTrace`] does).
+/// only for the duration of the [`Probe::observe`] call — a consumer that
+/// retains data across rounds must copy it (as [`FullTrace`] does).
 #[derive(Debug)]
 pub struct RoundObservation<'a> {
     /// The global round number (0-based).
@@ -151,22 +147,8 @@ pub struct RoundObservation<'a> {
     pub tally: RoundTally,
 }
 
-/// Receives a callback after every simulated round.
-pub trait Observer {
-    /// Called once per completed round.
-    fn on_round(&mut self, observation: &RoundObservation<'_>);
-}
-
-/// An observer that does nothing; used by [`Engine::run`](crate::engine::Engine::run).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn on_round(&mut self, _observation: &RoundObservation<'_>) {}
-}
-
 /// A single recorded round in a [`FullTrace`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global round number.
     pub round: u64,
@@ -182,11 +164,11 @@ pub struct TraceEvent {
     pub deliveries: Vec<Delivery>,
 }
 
-/// An observer that records every round in memory.
+/// A probe that records every round in memory.
 ///
 /// Memory grows with `rounds × nodes`; intended for tests, debugging, and
 /// small demonstration runs.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FullTrace {
     events: Vec<TraceEvent>,
 }
@@ -211,36 +193,10 @@ impl FullTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The output series of node `node`: one entry per recorded round, with
-    /// `None` meaning the node was not yet active and `Some(out)` giving its
-    /// output (`out == None` is `⊥`).
-    pub fn output_series(&self, node: NodeId) -> Vec<Option<Option<u64>>> {
-        self.events
-            .iter()
-            .map(|e| e.nodes.get(node.index()).and_then(|v| v.output()))
-            .collect()
-    }
-
-    /// The first recorded round in which node `node` produced a non-`⊥`
-    /// output, if any.
-    pub fn sync_round(&self, node: NodeId) -> Option<u64> {
-        self.events
-            .iter()
-            .find_map(|e| match e.nodes.get(node.index()) {
-                Some(NodeView::Active { output: Some(_) }) => Some(e.round),
-                _ => None,
-            })
-    }
-
-    /// Total number of deliveries recorded.
-    pub fn total_deliveries(&self) -> usize {
-        self.events.iter().map(|e| e.deliveries.len()).sum()
-    }
 }
 
-impl FullTrace {
-    fn record(&mut self, observation: &RoundObservation<'_>) {
+impl Probe for FullTrace {
+    fn observe(&mut self, observation: &RoundObservation<'_>) {
         self.events.push(TraceEvent {
             round: observation.round,
             newly_activated: observation.newly_activated.to_vec(),
@@ -249,18 +205,6 @@ impl FullTrace {
             disrupted: observation.disrupted.iter().map(Frequency::index).collect(),
             deliveries: observation.deliveries.to_vec(),
         });
-    }
-}
-
-impl Observer for FullTrace {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        self.record(observation);
-    }
-}
-
-impl Probe for FullTrace {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.record(observation);
     }
 }
 
@@ -313,7 +257,7 @@ mod tests {
             ActionView::Broadcast(Frequency::new(1)),
             ActionView::Inactive,
         ];
-        trace.on_round(&sample_observation(
+        trace.observe(&sample_observation(
             0,
             &nodes_r0,
             &actions_r0,
@@ -327,7 +271,7 @@ mod tests {
             NodeView::Active { output: None },
         ];
         let actions_r1 = [ActionView::Listen(Frequency::new(2)), ActionView::Sleep];
-        trace.on_round(&sample_observation(
+        trace.observe(&sample_observation(
             1,
             &nodes_r1,
             &actions_r1,
@@ -338,27 +282,9 @@ mod tests {
 
         assert_eq!(trace.len(), 2);
         assert!(!trace.is_empty());
-        assert_eq!(trace.total_deliveries(), 1);
-        assert_eq!(trace.sync_round(NodeId::new(0)), Some(1));
-        assert_eq!(trace.sync_round(NodeId::new(1)), None);
-        let series = trace.output_series(NodeId::new(1));
-        assert_eq!(series, vec![None, Some(None)]);
+        assert_eq!(trace.events()[0].deliveries, deliveries);
+        assert_eq!(trace.events()[0].newly_activated, newly);
+        assert_eq!(trace.events()[1].nodes, nodes_r1);
         assert_eq!(trace.events()[0].disrupted, vec![2]);
-    }
-
-    #[test]
-    fn null_observer_is_a_noop() {
-        let mut obs = NullObserver;
-        let disrupted = DisruptionSet::empty(1);
-        let nodes = [NodeView::Inactive];
-        let actions = [ActionView::Inactive];
-        obs.on_round(&sample_observation(
-            0,
-            &nodes,
-            &actions,
-            &disrupted,
-            &[],
-            &[],
-        ));
     }
 }

@@ -10,10 +10,22 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest accepted request body (a `SweepSpec` is a few hundred bytes;
 /// a megabyte is generous headroom, and anything larger is a client bug).
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Largest accepted request head: the request line plus every header
+/// line, terminators included. This API's clients send a handful of
+/// short headers.
+pub const MAX_HEAD: usize = 16 << 10;
+
+/// How long one read on a connection may wait for bytes before the
+/// connection is dropped, so an idle client cannot hold a handler permit.
+/// It bounds each read, not the whole request: a client trickling one
+/// byte per interval is not stopped by it.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// One parsed request: method, path, and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,15 +47,37 @@ pub enum RequestError {
     Malformed,
     /// The declared `Content-Length` exceeds [`MAX_BODY`].
     BodyTooLarge,
+    /// The request line and headers exceed [`MAX_HEAD`] bytes.
+    HeadTooLarge,
+}
+
+/// Reads one line of the request head into `line`, charging its bytes to
+/// `budget`. A line that ends before its newline is
+/// [`HeadTooLarge`](RequestError::HeadTooLarge) when the budget ran out,
+/// [`Malformed`](RequestError::Malformed) when the connection closed.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    line: &mut String,
+) -> io::Result<Result<(), RequestError>> {
+    *budget -= reader.take(*budget as u64).read_line(line)?;
+    Ok(if line.ends_with('\n') {
+        Ok(())
+    } else if *budget == 0 {
+        Err(RequestError::HeadTooLarge)
+    } else {
+        Err(RequestError::Malformed)
+    })
 }
 
 /// Reads one HTTP/1.1 request from `stream`. `Ok(Err(_))` is a protocol
 /// error to answer with a 4xx; `Err(_)` is a transport error to drop.
 pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestError>> {
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut budget = MAX_HEAD;
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(Err(RequestError::Malformed));
+    if let Err(e) = read_head_line(&mut reader, &mut budget, &mut line)? {
+        return Ok(Err(e));
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -54,8 +88,8 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestErr
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(Err(RequestError::Malformed));
+        if let Err(e) = read_head_line(&mut reader, &mut budget, &mut header)? {
+            return Ok(Err(e));
         }
         let header = header.trim();
         if header.is_empty() {
@@ -187,5 +221,19 @@ mod tests {
             )),
             Err(RequestError::BodyTooLarge)
         );
+    }
+
+    #[test]
+    fn rejects_an_oversized_head() {
+        let long_header = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD));
+        assert_eq!(
+            request_roundtrip(&long_header),
+            Err(RequestError::HeadTooLarge)
+        );
+        // A head that fits exactly is still read.
+        let line = "GET / HTTP/1.1\r\n";
+        let pad = MAX_HEAD - line.len() - "X-Pad: \r\n\r\n".len();
+        let exact = format!("{line}X-Pad: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(request_roundtrip(&exact).unwrap().path, "/");
     }
 }

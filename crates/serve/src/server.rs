@@ -267,10 +267,20 @@ fn refuse_connection(stream: &mut TcpStream) -> std::io::Result<()> {
 }
 
 fn handle_connection(state: &Arc<State>, mut stream: TcpStream) -> std::io::Result<()> {
+    // A read that times out fails the connection, which frees its permit.
+    stream.set_read_timeout(Some(http::READ_TIMEOUT))?;
     let request = match http::read_request(&stream)? {
         Ok(request) => request,
         Err(RequestError::Malformed) => {
             return http::respond_error(&mut stream, 400, "Bad Request", "malformed request");
+        }
+        Err(RequestError::HeadTooLarge) => {
+            return http::respond_error(
+                &mut stream,
+                431,
+                "Request Header Fields Too Large",
+                "request line and headers exceed the 16 KiB limit",
+            );
         }
         Err(RequestError::BodyTooLarge) => {
             return http::respond_error(

@@ -466,3 +466,36 @@ fn flooding_past_the_handler_cap_yields_503s_not_threads() {
         "no handler was spawned for a flooded connection: accepted {accepted}, probes {probes}"
     );
 }
+
+#[test]
+fn an_idle_connection_is_dropped_and_frees_its_permit() {
+    let addr = start_server_with("idle", 1);
+
+    // Connect and send nothing: the only handler permit waits on a read.
+    let idle = TcpStream::connect(addr).expect("connect idle");
+    let raw = exchange_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(
+        raw.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "the idle connection holds the only permit: {raw}"
+    );
+
+    // The read timeout drops the idle connection, so a later request is
+    // served while the idle client still holds its socket open. Probe
+    // every 100 ms for up to five timeouts.
+    let pause = std::time::Duration::from_millis(100);
+    let attempts = 5 * wsync_serve::http::READ_TIMEOUT.as_millis() / pause.as_millis();
+    let mut attempt = 0;
+    loop {
+        let raw = exchange_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        if raw.starts_with("HTTP/1.1 200 OK") {
+            break;
+        }
+        attempt += 1;
+        assert!(
+            attempt < attempts,
+            "the idle connection still holds the permit: {raw}"
+        );
+        std::thread::sleep(pause);
+    }
+    drop(idle);
+}

@@ -5,8 +5,6 @@
 //! property, together with a Wilson score interval; running-time claims are
 //! reported as means with a normal-approximation interval.
 
-use serde::{Deserialize, Serialize};
-
 use crate::descriptive::Summary;
 
 /// The typed reason an interval's width is undefined: the caller has not
@@ -15,7 +13,7 @@ use crate::descriptive::Summary;
 /// Sequential stopping rules must treat every variant as "keep sampling" —
 /// the silent alternative (a zero-width interval around a one-sample mean)
 /// would stop a sweep on the very first batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CiUndefined {
     /// Fewer than two samples: the sample standard deviation (and with it
     /// the interval width) does not exist yet.
@@ -48,7 +46,7 @@ impl std::fmt::Display for CiUndefined {
 impl std::error::Error for CiUndefined {}
 
 /// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (mean or proportion).
     pub estimate: f64,

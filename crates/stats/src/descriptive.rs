@@ -1,13 +1,11 @@
 //! Descriptive statistics: batch summaries and online (Welford) accumulation.
 
-use serde::{Deserialize, Serialize};
-
 /// A batch summary of a sample: count, mean, (sample) standard deviation,
 /// minimum, maximum and sum.
 ///
 /// An empty sample yields a summary with `count == 0`, `mean == 0.0`,
 /// `std_dev == 0.0`, `min == f64::INFINITY` and `max == f64::NEG_INFINITY`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -93,7 +91,7 @@ impl Default for Summary {
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: usize,
     mean: f64,

@@ -1,10 +1,8 @@
 //! Simple fixed-width and logarithmic histograms for experiment output.
 
-use serde::{Deserialize, Serialize};
-
 /// One bin of a [`Histogram`]: the half-open range `[lower, upper)` and the
 /// number of samples that fell into it. The final bin is closed on the right.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramBin {
     /// Inclusive lower edge.
     pub lower: f64,
@@ -15,7 +13,7 @@ pub struct HistogramBin {
 }
 
 /// A histogram over `f64` samples with either linear or logarithmic bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bins: Vec<HistogramBin>,
     total: usize,

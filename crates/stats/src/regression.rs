@@ -10,10 +10,8 @@
 //!   be roughly constant across the sweep, i.e. the origin fit should have a
 //!   small relative residual).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of an ordinary least squares fit `y ≈ intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted intercept `a`.
     pub intercept: f64,
@@ -35,7 +33,7 @@ impl LinearFit {
 }
 
 /// Result of a least-squares fit through the origin, `y ≈ ratio · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OriginFit {
     /// Fitted proportionality constant `c`.
     pub ratio: f64,

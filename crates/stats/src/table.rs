@@ -2,11 +2,10 @@
 //! text. The experiment binaries use it to print the regenerated paper
 //! figures/tables in a reviewable form.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Column alignment for plain-text / Markdown rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Align {
     /// Left-align the column.
     Left,
@@ -15,7 +14,7 @@ pub enum Align {
 }
 
 /// A simple rectangular table of strings with named columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     columns: Vec<String>,

@@ -204,9 +204,8 @@ fn spec_driven_outcomes_match_pre_refactor_golden_digests() {
 
 /// The probe pipeline must be invisible to outcomes: running every pinned
 /// case with the full declarative probe stack attached (`metrics`,
-/// `checker`, `trace` — the three registry probes, exercising an
-/// independent metrics fold, the incremental property checker, and a full
-/// trace copy) reproduces the identical golden digests, and the trial's
+/// `checker`, `trace` — the three registry probes, reporting the
+/// outcome's metrics and property verdict and a trace summary) reproduces the identical golden digests, and the trial's
 /// store digest is unchanged by the probes (instrumented and outcome-only
 /// runs share cache entries).
 #[test]
@@ -238,7 +237,7 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
         assert_eq!(outputs[0].name, "metrics");
         assert_eq!(outputs[1].name, "checker");
         assert_eq!(outputs[2].name, "trace");
-        // The independent metrics fold reproduces the engine's counters.
+        // The metrics probe reports the engine's counters.
         assert_eq!(
             outputs[0].value.get("rounds").and_then(|v| v.as_u64()),
             Some(probed.outcome.result.metrics.rounds),
@@ -249,7 +248,7 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
             Some(probed.outcome.result.metrics.deliveries),
             "{name}: the metrics probe's delivery count disagrees with the engine"
         );
-        // The incremental checker's verdict matches the post-hoc one.
+        // The checker probe reports the outcome's verdict.
         assert_eq!(
             outputs[1].value.get("liveness").and_then(|v| v.as_bool()),
             Some(probed.outcome.properties.liveness),
@@ -457,3 +456,150 @@ fn print_golden_table() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Probe-output pins: the compact JSON each registry probe finalizes into,
+// byte for byte, on all fourteen golden cases. The digests above cover the
+// outcome only; these cover what a probed run reports beside it.
+// ---------------------------------------------------------------------------
+
+/// Labels of the probes declared on every pinned case, in declaration
+/// order; `fault-counters` is declared on the faulty cases only.
+const PROBE_LABELS: [&str; 6] = [
+    "metrics",
+    "checker",
+    "trace",
+    "trace{max_rounds:0}",
+    "trace{max_rounds:32}",
+    "fault-counters",
+];
+
+/// One `"<case> <probe label> <compact JSON>"` line per case and probe.
+fn probe_output_lines() -> Vec<String> {
+    let plain = golden_specs().into_iter().map(|case| (case, false));
+    let faulty = faulty_golden_specs().into_iter().map(|case| (case, true));
+    let mut lines = Vec::new();
+    for ((name, spec, seed), with_fault_counters) in plain.chain(faulty) {
+        let mut spec = spec
+            .with_probe("metrics")
+            .with_probe("checker")
+            .with_probe("trace")
+            .with_probe(ComponentSpec::named("trace").with("max_rounds", 0u64))
+            .with_probe(ComponentSpec::named("trace").with("max_rounds", 32u64));
+        if with_fault_counters {
+            spec = spec.with_probe("fault-counters");
+        }
+        let outputs = Sim::from_spec(&spec)
+            .expect("probed golden specs are valid")
+            .run_probed(seed)
+            .probes
+            .expect("executed trials produce probe outputs");
+        for (label, output) in PROBE_LABELS.iter().zip(&outputs) {
+            assert!(
+                label.starts_with(output.name.as_str()),
+                "{name}: probe order"
+            );
+            lines.push(format!("{name} {label} {}", output.value.to_json_compact()));
+        }
+    }
+    lines
+}
+
+#[test]
+fn probe_outputs_match_pinned_bytes() {
+    let produced = probe_output_lines();
+    let pinned: Vec<&str> = PINNED_PROBE_OUTPUTS.lines().collect();
+    assert_eq!(produced.len(), pinned.len(), "pinned probe line count");
+    for (got, want) in produced.iter().zip(pinned) {
+        assert_eq!(got, want, "probe output bytes moved");
+    }
+}
+
+/// Re-recording helper for `PINNED_PROBE_OUTPUTS`.
+#[test]
+#[ignore = "run with --ignored --nocapture to re-record the probe output pins"]
+fn print_probe_output_pins() {
+    for line in probe_output_lines() {
+        println!("{line}");
+    }
+}
+
+/// Recorded from the probe pipeline before the observation layer was
+/// collapsed onto `Probe` and `SyncOutcome`.
+const PINNED_PROBE_OUTPUTS: &str = r#"trapdoor/random/n8 metrics {"rounds":195,"broadcasts":119,"listens":1441,"sleeps":0,"deliveries":83,"receptions":140,"collisions":6,"jammed_solo_broadcasts":22,"disrupted_frequency_rounds":390,"max_active_nodes":8,"adversary_budget_violations":0}
+trapdoor/random/n8 checker {"total_violations":0,"rounds_observed":195,"liveness":true,"safety_holds":true,"completion_round":186}
+trapdoor/random/n8 trace {"rounds_recorded":195,"total_deliveries":83,"sync_rounds":[172,175,180,186,167,186,175,184]}
+trapdoor/random/n8 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+trapdoor/random/n8 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":20,"sync_rounds":[null,null,null,null,null,null,null,null]}
+trapdoor/fixed-band/staggered/n16 metrics {"rounds":413,"broadcasts":272,"listens":6096,"sleeps":0,"deliveries":136,"receptions":352,"collisions":9,"jammed_solo_broadcasts":118,"disrupted_frequency_rounds":1239,"max_active_nodes":16,"adversary_budget_violations":0}
+trapdoor/fixed-band/staggered/n16 checker {"total_violations":0,"rounds_observed":413,"liveness":true,"safety_holds":true,"completion_round":404}
+trapdoor/fixed-band/staggered/n16 trace {"rounds_recorded":413,"total_deliveries":136,"sync_rounds":[335,341,404,341,348,351,401,377,338,341,338,351,377,351,338,351]}
+trapdoor/fixed-band/staggered/n16 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+trapdoor/fixed-band/staggered/n16 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":14,"sync_rounds":[null,null,null,null,null,null,null,null,null,null,null,null,null,null,null,null]}
+trapdoor/adaptive-greedy/uniform/n12 metrics {"rounds":642,"broadcasts":514,"listens":7147,"sleeps":0,"deliveries":255,"receptions":254,"collisions":13,"jammed_solo_broadcasts":233,"disrupted_frequency_rounds":3210,"max_active_nodes":12,"adversary_budget_violations":0}
+trapdoor/adaptive-greedy/uniform/n12 checker {"total_violations":0,"rounds_observed":642,"liveness":true,"safety_holds":true,"completion_round":633}
+trapdoor/adaptive-greedy/uniform/n12 trace {"rounds_recorded":642,"total_deliveries":255,"sync_rounds":[549,527,552,573,552,549,633,534,537,549,534,573]}
+trapdoor/adaptive-greedy/uniform/n12 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+trapdoor/adaptive-greedy/uniform/n12 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":14,"sync_rounds":[null,null,null,null,null,null,null,null,null,null,null,null]}
+good-samaritan/oblivious/n8 metrics {"rounds":425,"broadcasts":308,"listens":3092,"sleeps":0,"deliveries":209,"receptions":229,"collisions":15,"jammed_solo_broadcasts":69,"disrupted_frequency_rounds":850,"max_active_nodes":8,"adversary_budget_violations":0}
+good-samaritan/oblivious/n8 checker {"total_violations":0,"rounds_observed":425,"liveness":true,"safety_holds":true,"completion_round":416}
+good-samaritan/oblivious/n8 trace {"rounds_recorded":425,"total_deliveries":209,"sync_rounds":[391,416,413,400,400,394,389,388]}
+good-samaritan/oblivious/n8 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+good-samaritan/oblivious/n8 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":12,"sync_rounds":[null,null,null,null,null,null,null,null]}
+good-samaritan/bursty/n10 metrics {"rounds":847,"broadcasts":446,"listens":8024,"sleeps":0,"deliveries":382,"receptions":395,"collisions":14,"jammed_solo_broadcasts":36,"disrupted_frequency_rounds":1060,"max_active_nodes":10,"adversary_budget_violations":0}
+good-samaritan/bursty/n10 checker {"total_violations":0,"rounds_observed":847,"liveness":true,"safety_holds":true,"completion_round":838}
+good-samaritan/bursty/n10 trace {"rounds_recorded":847,"total_deliveries":382,"sync_rounds":[838,822,822,826,826,820,822,822,821,837]}
+good-samaritan/bursty/n10 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+good-samaritan/bursty/n10 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":19,"sync_rounds":[null,null,null,null,null,null,null,null,null,null]}
+wakeup/sweep/n6 metrics {"rounds":90,"broadcasts":87,"listens":453,"sleeps":0,"deliveries":59,"receptions":32,"collisions":3,"jammed_solo_broadcasts":21,"disrupted_frequency_rounds":180,"max_active_nodes":6,"adversary_budget_violations":0}
+wakeup/sweep/n6 checker {"total_violations":0,"rounds_observed":90,"liveness":true,"safety_holds":true,"completion_round":81}
+wakeup/sweep/n6 trace {"rounds_recorded":90,"total_deliveries":59,"sync_rounds":[47,56,81,54,47,52]}
+wakeup/sweep/n6 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+wakeup/sweep/n6 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":17,"sync_rounds":[null,null,null,null,null,null]}
+round-robin/random/n6 metrics {"rounds":185,"broadcasts":331,"listens":779,"sleeps":0,"deliveries":243,"receptions":106,"collisions":0,"jammed_solo_broadcasts":88,"disrupted_frequency_rounds":370,"max_active_nodes":6,"adversary_budget_violations":0}
+round-robin/random/n6 checker {"total_violations":0,"rounds_observed":185,"liveness":true,"safety_holds":true,"completion_round":176}
+round-robin/random/n6 trace {"rounds_recorded":185,"total_deliveries":243,"sync_rounds":[167,167,176,167,176,167]}
+round-robin/random/n6 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+round-robin/random/n6 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":31,"sync_rounds":[null,null,null,null,null,null]}
+single-frequency/fixed-band/late-joiner/n4 metrics {"rounds":27,"broadcasts":52,"listens":53,"sleeps":0,"deliveries":0,"receptions":0,"collisions":17,"jammed_solo_broadcasts":7,"disrupted_frequency_rounds":27,"max_active_nodes":4,"adversary_budget_violations":0}
+single-frequency/fixed-band/late-joiner/n4 checker {"total_violations":9,"rounds_observed":27,"liveness":true,"safety_holds":false,"completion_round":18}
+single-frequency/fixed-band/late-joiner/n4 trace {"rounds_recorded":27,"total_deliveries":0,"sync_rounds":[15,15,15,18]}
+single-frequency/fixed-band/late-joiner/n4 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+single-frequency/fixed-band/late-joiner/n4 trace{max_rounds:32} {"rounds_recorded":27,"total_deliveries":0,"sync_rounds":[15,15,15,18]}
+faulty/drop-0.25 metrics {"rounds":195,"broadcasts":119,"listens":1441,"sleeps":0,"deliveries":65,"receptions":111,"collisions":6,"jammed_solo_broadcasts":22,"disrupted_frequency_rounds":390,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/drop-0.25 checker {"total_violations":0,"rounds_observed":195,"liveness":true,"safety_holds":true,"completion_round":186}
+faulty/drop-0.25 trace {"rounds_recorded":195,"total_deliveries":65,"sync_rounds":[177,177,183,186,167,186,183,184]}
+faulty/drop-0.25 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/drop-0.25 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":16,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/drop-0.25 fault-counters {"dropped_deliveries":18,"suppressed_receptions":0,"severed_receptions":0,"crashed_node_rounds":0,"restarts":0}
+faulty/capture-0.2 metrics {"rounds":195,"broadcasts":128,"listens":1432,"sleeps":0,"deliveries":86,"receptions":124,"collisions":9,"jammed_solo_broadcasts":22,"disrupted_frequency_rounds":390,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/capture-0.2 checker {"total_violations":0,"rounds_observed":195,"liveness":true,"safety_holds":true,"completion_round":186}
+faulty/capture-0.2 trace {"rounds_recorded":195,"total_deliveries":86,"sync_rounds":[172,177,180,177,167,186,175,175]}
+faulty/capture-0.2 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/capture-0.2 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":22,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/capture-0.2 fault-counters {"dropped_deliveries":0,"suppressed_receptions":33,"severed_receptions":0,"crashed_node_rounds":0,"restarts":0}
+faulty/partition-heal-128 metrics {"rounds":200,"broadcasts":176,"listens":1424,"sleeps":0,"deliveries":113,"receptions":92,"collisions":12,"jammed_solo_broadcasts":36,"disrupted_frequency_rounds":400,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/partition-heal-128 checker {"total_violations":0,"rounds_observed":200,"liveness":true,"safety_holds":true,"completion_round":191}
+faulty/partition-heal-128 trace {"rounds_recorded":200,"total_deliveries":113,"sync_rounds":[172,175,172,175,167,180,191,172]}
+faulty/partition-heal-128 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/partition-heal-128 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":27,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/partition-heal-128 fault-counters {"dropped_deliveries":0,"suppressed_receptions":0,"severed_receptions":81,"crashed_node_rounds":0,"restarts":0}
+faulty/churn-0.01 metrics {"rounds":716,"broadcasts":292,"listens":5044,"sleeps":0,"deliveries":219,"receptions":349,"collisions":4,"jammed_solo_broadcasts":65,"disrupted_frequency_rounds":1432,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/churn-0.01 checker {"total_violations":35,"rounds_observed":716,"liveness":true,"safety_holds":false,"completion_round":707}
+faulty/churn-0.01 trace {"rounds_recorded":716,"total_deliveries":219,"sync_rounds":[707,664,692,661,660,664,661,673]}
+faulty/churn-0.01 trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/churn-0.01 trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":17,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/churn-0.01 fault-counters {"dropped_deliveries":0,"suppressed_receptions":0,"severed_receptions":0,"crashed_node_rounds":392,"restarts":49}
+faulty/drop+partition+churn metrics {"rounds":193,"broadcasts":227,"listens":1287,"sleeps":0,"deliveries":103,"receptions":115,"collisions":26,"jammed_solo_broadcasts":52,"disrupted_frequency_rounds":386,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/drop+partition+churn checker {"total_violations":0,"rounds_observed":193,"liveness":true,"safety_holds":true,"completion_round":184}
+faulty/drop+partition+churn trace {"rounds_recorded":193,"total_deliveries":103,"sync_rounds":[172,178,184,172,167,172,172,181]}
+faulty/drop+partition+churn trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/drop+partition+churn trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":22,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/drop+partition+churn fault-counters {"dropped_deliveries":18,"suppressed_receptions":0,"severed_receptions":46,"crashed_node_rounds":30,"restarts":5}
+faulty/full-stack/adaptive-greedy metrics {"rounds":206,"broadcasts":228,"listens":1402,"sleeps":0,"deliveries":77,"receptions":86,"collisions":32,"jammed_solo_broadcasts":73,"disrupted_frequency_rounds":412,"max_active_nodes":8,"adversary_budget_violations":0}
+faulty/full-stack/adaptive-greedy checker {"total_violations":0,"rounds_observed":206,"liveness":false,"safety_holds":true,"completion_round":null}
+faulty/full-stack/adaptive-greedy trace {"rounds_recorded":206,"total_deliveries":77,"sync_rounds":[179,171,193,169,167,169,169,197]}
+faulty/full-stack/adaptive-greedy trace{max_rounds:0} {"rounds_recorded":0,"total_deliveries":0,"sync_rounds":[]}
+faulty/full-stack/adaptive-greedy trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":15,"sync_rounds":[null,null,null,null,null,null,null,null]}
+faulty/full-stack/adaptive-greedy fault-counters {"dropped_deliveries":8,"suppressed_receptions":8,"severed_receptions":22,"crashed_node_rounds":18,"restarts":4}
+"#;

@@ -69,8 +69,9 @@ proptest! {
             ActivationSchedule::Simultaneous,
             seed,
         ).unwrap();
-        let mut trace = FullTrace::new();
-        let result = engine.run_with_observer(&mut trace);
+        let slot = engine.attach_probe(Box::new(FullTrace::new()));
+        let result = engine.run();
+        let trace: FullTrace = engine.take_probes().take(slot).unwrap();
         prop_assert_eq!(result.rounds_executed, 12);
 
         let mut receptions_from_trace = 0u64;
@@ -112,8 +113,9 @@ proptest! {
                 ActivationSchedule::UniformWindow { window: 4 },
                 seed,
             ).unwrap();
-            let mut trace = FullTrace::new();
-            let result = engine.run_with_observer(&mut trace);
+            let slot = engine.attach_probe(Box::new(FullTrace::new()));
+            let result = engine.run();
+            let trace: FullTrace = engine.take_probes().take(slot).unwrap();
             (result, trace.events().to_vec())
         };
         prop_assert_eq!(run(seed), run(seed));

@@ -1,29 +1,37 @@
 //! Integration tests of the streaming probe pipeline: equivalence of the
 //! probe-composed observation channels with the engine's own accounting,
-//! the incremental property checker against the legacy post-hoc finish,
-//! demand-driven history retention, the declarative `"probes"` spec field,
-//! and probe outputs flowing through `Sim`, `SweepRunner`, and the store.
+//! history retention derived from the adversary's declared lookback, the
+//! declarative `"probes"` spec field, and probe outputs flowing through
+//! `Sim`, `SweepRunner`, and the store.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use wireless_sync::prelude::*;
-use wireless_sync::radio::activation::ActivationSchedule;
 use wireless_sync::radio::adversary::{Adversary, DisruptionSet};
-use wireless_sync::radio::engine::{Engine, HistoryRetention};
+use wireless_sync::radio::engine::Engine;
+use wireless_sync::radio::frequency::FrequencyBand;
+use wireless_sync::radio::history::History;
 use wireless_sync::sync::registry;
 use wireless_sync::sync::runner::BoxedAdversary;
-use wireless_sync::sync::spec::Params;
 use wireless_sync::sync::store::spec_digest;
+
+type BoxedProtocol = wireless_sync::sync::registry::BoxedProtocol;
 
 /// Builds a registry-resolved engine for `(spec, seed)` — the same wiring
 /// `Sim::run_one` uses, exposed so tests can attach probes and inspect the
 /// engine afterwards.
-fn engine_for(
+fn engine_for(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, BoxedAdversary> {
+    engine_with(spec, seed, |adversary| adversary)
+}
+
+/// [`engine_for`] with the registry-built adversary passed through `wrap`.
+fn engine_with<A: Adversary>(
     spec: &ScenarioSpec,
     seed: u64,
-) -> Engine<wireless_sync::sync::registry::BoxedProtocol, BoxedAdversary> {
+    wrap: impl FnOnce(BoxedAdversary) -> A,
+) -> Engine<BoxedProtocol, A> {
     let scenario = spec.scenario();
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
@@ -33,7 +41,7 @@ fn engine_for(
     Engine::new(
         scenario.sim_config(),
         &*ctor,
-        adversary,
+        wrap(adversary),
         scenario.activation.clone(),
         seed,
     )
@@ -51,40 +59,6 @@ const ADVERSARIES: [&str; 5] = ["none", "random", "fixed-band", "sweep", "adapti
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The incremental `PropertyChecker::report` (liveness and completion
-    /// round folded round-by-round from the observation stream) agrees
-    /// with the legacy post-hoc `finish(&ExecutionResult)` on random
-    /// scenarios — including runs that hit the round cap and the
-    /// known-dirty single-frequency configurations.
-    #[test]
-    fn incremental_checker_report_matches_legacy_finish(
-        protocol_idx in 0usize..5,
-        adversary_idx in 0usize..5,
-        n in 2usize..9,
-        f_extra in 0u32..7,
-        seed in 0u64..1000,
-        staggered in any::<bool>(),
-    ) {
-        let f = 2 + f_extra;
-        let t = f / 2;
-        let mut spec = ScenarioSpec::new(PROTOCOLS[protocol_idx], n, f, t)
-            .with_adversary(ADVERSARIES[adversary_idx])
-            .with_max_rounds(4_000);
-        if staggered {
-            spec = spec.with_activation(ActivationSchedule::Staggered { gap: 3 });
-        }
-        let mut engine = engine_for(&spec, seed);
-        let slot = engine.attach_probe(Box::new(PropertyChecker::new()));
-        let result = engine.run();
-        let checker: PropertyChecker = engine
-            .take_probes()
-            .take(slot)
-            .expect("the checker probe is recoverable");
-        let incremental = checker.report();
-        let legacy = checker.finish(&result);
-        prop_assert_eq!(incremental, legacy);
-    }
 
     /// An independently attached `SimMetrics` probe folds the identical
     /// aggregates the engine accumulates internally — the per-round tally
@@ -111,19 +85,23 @@ proptest! {
     }
 }
 
-/// A probe that declares a lookback demand and records how much history it
-/// could actually see each round.
-struct WindowWatcher {
-    lookback: usize,
-    rounds: u64,
-}
+/// Forwards `disrupt` to the wrapped adversary but keeps the trait's
+/// default `max_lookback() = None`, so the engine retains the full history.
+struct FullRetention<A>(A);
 
-impl Probe for WindowWatcher {
-    fn observe(&mut self, _observation: &RoundObservation<'_>) {
-        self.rounds += 1;
+impl<A: Adversary> Adversary for FullRetention<A> {
+    fn budget(&self) -> u32 {
+        self.0.budget()
     }
-    fn lookback(&self) -> usize {
-        self.lookback
+
+    fn disrupt(
+        &mut self,
+        round: u64,
+        band: FrequencyBand,
+        history: &History,
+        rng: &mut SimRng,
+    ) -> DisruptionSet {
+        self.0.disrupt(round, band, history, rng)
     }
 }
 
@@ -148,152 +126,37 @@ fn history_retention_is_derived_from_adversary_and_probe_demand() {
     let engine = engine_for(&base("adaptive-greedy"), 1);
     assert_eq!(engine.history().window(), Some(8));
 
-    // A probe's declared lookback widens the derived window.
-    let mut engine = engine_for(&base("random"), 1);
-    engine.attach_probe(Box::new(WindowWatcher {
-        lookback: 21,
-        rounds: 0,
-    }));
-    assert_eq!(engine.history().window(), Some(21));
-    engine.run();
-    assert!(engine.history().len() <= 21);
-
-    // Explicit retention policies override the demand derivation.
-    let scenario = base("random").scenario();
-    let make = |retention: HistoryRetention, seed: u64| {
-        let ctor = registry::resolve_protocol("trapdoor")
-            .unwrap()
-            .instantiate(&scenario, &Params::new())
-            .unwrap();
-        let adversary = registry::build_adversary(&scenario.adversary, &scenario, seed).unwrap();
-        Engine::new(
-            scenario.sim_config().with_history_retention(retention),
-            &*ctor,
-            adversary,
-            scenario.activation.clone(),
-            seed,
-        )
-        .unwrap()
-    };
-    assert_eq!(
-        make(HistoryRetention::Window(17), 1).history().window(),
-        Some(17)
-    );
-    assert_eq!(make(HistoryRetention::Full, 1).history().window(), None);
-
     // An adversary with an unknown (default) lookback gets full retention.
-    struct OpaqueAdversary;
-    impl Adversary for OpaqueAdversary {
-        fn budget(&self) -> u32 {
-            0
-        }
-        fn disrupt(
-            &mut self,
-            _round: u64,
-            band: wireless_sync::radio::frequency::FrequencyBand,
-            _history: &wireless_sync::radio::history::History,
-            _rng: &mut SimRng,
-        ) -> DisruptionSet {
-            DisruptionSet::empty(band.count())
-        }
-    }
-    let ctor = registry::resolve_protocol("trapdoor")
-        .unwrap()
-        .instantiate(&scenario, &Params::new())
-        .unwrap();
-    let mut engine = Engine::new(
-        scenario.sim_config(),
-        &*ctor,
-        OpaqueAdversary,
-        scenario.activation.clone(),
-        3,
-    )
-    .unwrap();
+    let mut engine = engine_with(&base("random"), 3, FullRetention);
     assert_eq!(engine.history().window(), None);
     let result = engine.run();
     assert_eq!(engine.history().len() as u64, result.rounds_executed);
 }
 
 #[test]
-fn probe_lookback_never_widens_an_explicit_window() {
-    // Under an explicit Window policy the caller pinned the adversary's
-    // view (here: starving adaptive-greedy's 8-round lookback down to 2).
-    // A probe demanding more lookback must NOT widen that window — doing
-    // so would change what the adversary sees and let a probe perturb the
-    // outcome. It merely observes the starved history.
-    let spec = ScenarioSpec::new("trapdoor", 8, 8, 2)
-        .with_adversary("adaptive-greedy")
-        .with_max_rounds(2_000);
-    let scenario = spec.scenario();
-    let run = |attach_probe: bool| {
-        let ctor = registry::resolve_protocol("trapdoor")
-            .unwrap()
-            .instantiate(&scenario, &Params::new())
-            .unwrap();
-        let adversary = registry::build_adversary(&scenario.adversary, &scenario, 9).unwrap();
-        let mut engine = Engine::new(
-            scenario
-                .sim_config()
-                .with_history_retention(HistoryRetention::Window(2)),
-            &*ctor,
-            adversary,
-            scenario.activation.clone(),
-            9,
-        )
-        .unwrap();
-        if attach_probe {
-            engine.attach_probe(Box::new(WindowWatcher {
-                lookback: 8,
-                rounds: 0,
-            }));
-        }
-        assert_eq!(engine.history().window(), Some(2), "window stays pinned");
-        engine.run()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
 fn retention_policy_never_changes_outcomes() {
-    // The same (spec, seed) under demand-derived, generous-window, and
-    // full retention resolves to bit-identical outcomes: retention is
-    // invisible as long as it covers every declared lookback.
+    // The same (spec, seed) under demand-derived and full retention
+    // resolves to bit-identical outcomes: retention is invisible as long
+    // as it covers the adversary's declared lookback.
     for adversary in ["random", "adaptive-greedy", "sweep"] {
         let spec = ScenarioSpec::new("trapdoor", 8, 8, 2)
             .with_adversary(adversary)
             .with_max_rounds(2_000);
-        let scenario = spec.scenario();
-        let run = |retention: HistoryRetention| {
-            let ctor = registry::resolve_protocol("trapdoor")
-                .unwrap()
-                .instantiate(&scenario, &Params::new())
-                .unwrap();
-            let adversary = registry::build_adversary(&scenario.adversary, &scenario, 7).unwrap();
-            Engine::new(
-                scenario.sim_config().with_history_retention(retention),
-                &*ctor,
-                adversary,
-                scenario.activation.clone(),
-                7,
-            )
-            .unwrap()
-            .run()
-        };
-        let demand = run(HistoryRetention::Demand);
-        assert_eq!(demand, run(HistoryRetention::Window(64)), "{adversary}");
-        assert_eq!(demand, run(HistoryRetention::Full), "{adversary}");
+        let demand = engine_for(&spec, 7).run();
+        let full = engine_with(&spec, 7, FullRetention).run();
+        assert_eq!(demand, full, "{adversary}");
     }
 }
 
 #[test]
 fn buffer_reusing_counts_match_the_allocating_variants() {
-    let band = wireless_sync::radio::frequency::FrequencyBand::new(5);
+    let band = FrequencyBand::new(5);
     let spec = ScenarioSpec::new("trapdoor", 8, 5, 1)
         .with_adversary("random")
         .with_max_rounds(300);
     let mut engine = engine_for(&spec, 11);
     // Retain plenty of history so the lookback sums are non-trivial.
-    let mut history = wireless_sync::radio::history::History::with_window(64);
+    let mut history = History::with_window(64);
     // Drive the engine and mirror its history through the probe interface.
     for _ in 0..200 {
         engine.step();

@@ -204,45 +204,67 @@ fn bench_million_node_full_run(c: &mut Criterion) {
     group.finish();
 }
 
-/// Observation overhead of the probe pipeline: the N=256/F=32 headline
-/// cell run with an empty probe stack (`none` — the engine's internal
-/// history/metrics probes only, identical workload to
-/// `engine_throughput/N256/F32`) versus with an attached
-/// metrics-plus-checker stack (`metrics+checker` — an independent
-/// `SimMetrics` fold plus the streaming `PropertyChecker`, the default
-/// instrumentation of every `Sim` run). The gap between the two cells is
-/// the marginal cost of observing every resolved round.
+/// Observation overhead of the probe pipeline: each workload run with an
+/// empty probe stack (`none` — the engine's internal history/metrics
+/// probes only) versus with an attached metrics-plus-checker stack
+/// (`metrics+checker` — an independent `SimMetrics` fold plus the
+/// streaming `PropertyChecker`, the default instrumentation of every `Sim`
+/// run). The gap between the two cells is the marginal cost of observing
+/// every resolved round.
+///
+/// Two workloads: the N=256/F=32 headline cell (`none` is the identical
+/// workload to `engine_throughput/N256/F32`), and `N65536-staggered`, the
+/// `engine_large_n/trapdoor/N65536` workload, where at most 2000 of the
+/// 65536 nodes ever run. There the checker must cost O(active) per round
+/// like the engine: a checker that scanned all N node views every round
+/// would dwarf the engine's own work.
 fn bench_observation_overhead(c: &mut Criterion) {
+    use wsync_radio::activation::ActivationSchedule;
+
     let mut group = c.benchmark_group("engine_observation_overhead");
     const ROUNDS: u64 = 2_000;
     group.throughput(Throughput::Elements(ROUNDS));
-    let scenario = Scenario::new(256, 32, 8).with_adversary("random");
-    let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
-    for probed in [false, true] {
-        let id = BenchmarkId::from_parameter(if probed { "metrics+checker" } else { "none" });
-        group.bench_with_input(id, &scenario, |b, s| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let adversary = registry::build_adversary(&s.adversary, s, seed).unwrap();
-                let mut engine = Engine::new(
-                    s.sim_config().with_max_rounds(ROUNDS),
-                    |_| TrapdoorProtocol::new(config),
-                    adversary,
-                    s.activation.clone(),
-                    seed,
-                )
-                .unwrap();
-                if probed {
-                    engine.attach_probe(Box::new(SimMetrics::default()));
-                    engine.attach_probe(Box::new(PropertyChecker::new()));
-                }
-                for _ in 0..ROUNDS {
-                    engine.step();
-                }
-                engine.metrics().deliveries
-            })
-        });
+    let workloads = [
+        (None, Scenario::new(256, 32, 8).with_adversary("random")),
+        (
+            Some("N65536-staggered"),
+            Scenario::new(65_536, 32, 8)
+                .with_adversary("random")
+                .with_activation(ActivationSchedule::Staggered { gap: 1 }),
+        ),
+    ];
+    for (workload, scenario) in &workloads {
+        let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
+        for probed in [false, true] {
+            let label = if probed { "metrics+checker" } else { "none" };
+            let id = match workload {
+                Some(workload) => BenchmarkId::new(*workload, label),
+                None => BenchmarkId::from_parameter(label),
+            };
+            group.bench_with_input(id, scenario, |b, s| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    let adversary = registry::build_adversary(&s.adversary, s, seed).unwrap();
+                    let mut engine = Engine::new(
+                        s.sim_config().with_max_rounds(ROUNDS),
+                        |_| TrapdoorProtocol::new(config),
+                        adversary,
+                        s.activation.clone(),
+                        seed,
+                    )
+                    .unwrap();
+                    if probed {
+                        engine.attach_probe(Box::new(SimMetrics::default()));
+                        engine.attach_probe(Box::new(PropertyChecker::new()));
+                    }
+                    for _ in 0..ROUNDS {
+                        engine.step();
+                    }
+                    engine.metrics().deliveries
+                })
+            });
+        }
     }
     group.finish();
 }

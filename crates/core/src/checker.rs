@@ -2,7 +2,7 @@
 //! problem.
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
-//! [`Probe`] hook and verifies, round by round and with O(n) memory:
+//! [`Probe`] hook and verifies, round by round:
 //!
 //! * **synch commit** — no node reverts from a round number to `⊥`;
 //! * **correctness** — a node outputting `i` outputs `i + 1` next round;
@@ -12,6 +12,11 @@
 //! **Liveness** is the engine's own verdict: [`PropertyChecker::finish`]
 //! copies it out of the [`ExecutionResult`], which already holds every
 //! node's first sync round.
+//!
+//! Only running nodes have outputs, so each round walks the observation's
+//! active set and nothing else: O(active) work per round, plus one O(N)
+//! per-node table allocated on the first round. A node that is inactive
+//! or crashed has no output and simply is not visited.
 
 use wsync_radio::engine::ExecutionResult;
 use wsync_radio::node::NodeId;
@@ -85,10 +90,19 @@ impl PropertyReport {
 /// counted in [`PropertyReport::total_violations`]).
 pub const MAX_RECORDED: usize = 64;
 
+/// A node's output in the last round it ran.
+#[derive(Debug, Clone, Copy, Default)]
+struct LastOutput {
+    /// The observed round the output was recorded in, counted from 1
+    /// (0: the node has not run yet).
+    round: u64,
+    output: Option<u64>,
+}
+
 /// Streaming probe that checks the synchronization properties online.
 #[derive(Debug, Clone, Default)]
 pub struct PropertyChecker {
-    previous: Vec<Option<Option<u64>>>,
+    last: Vec<LastOutput>,
     violations: Vec<Violation>,
     total_violations: u64,
     rounds_observed: u64,
@@ -130,56 +144,59 @@ impl PropertyChecker {
 
 impl Probe for PropertyChecker {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
-        let n = observation.nodes.len();
-        if self.previous.len() < n {
-            self.previous.resize(n, None);
+        if self.last.len() < observation.nodes.len() {
+            self.last
+                .resize(observation.nodes.len(), LastOutput::default());
         }
         self.rounds_observed += 1;
+        let round = self.rounds_observed;
 
         // Agreement: all non-⊥ outputs in this round must be equal.
         let mut first_output: Option<(NodeId, u64)> = None;
-        for (i, view) in observation.nodes.iter().enumerate() {
-            if let NodeView::Active { output: Some(v) } = view {
-                match first_output {
-                    None => first_output = Some((NodeId::new(i as u32), *v)),
-                    Some((fid, fv)) => {
-                        if fv != *v {
-                            let second = (NodeId::new(i as u32), *v);
-                            self.record(Violation::Agreement {
-                                round: observation.round,
-                                first: (fid, fv),
-                                second,
-                            });
-                        }
-                    }
-                }
+        for &i in observation.active {
+            let NodeView::Active { output: Some(v) } = observation.nodes[i as usize] else {
+                continue;
+            };
+            match first_output {
+                None => first_output = Some((NodeId::new(i), v)),
+                Some((fid, fv)) if fv != v => self.record(Violation::Agreement {
+                    round: observation.round,
+                    first: (fid, fv),
+                    second: (NodeId::new(i), v),
+                }),
+                Some(_) => {}
             }
         }
 
-        // Synch commit and correctness: per-node transition checks.
-        for (i, view) in observation.nodes.iter().enumerate() {
-            let current: Option<Option<u64>> = view.output();
-            if let (Some(prev_active), Some(cur_active)) = (self.previous[i], current) {
-                match (prev_active, cur_active) {
-                    (Some(p), None) => {
-                        self.record(Violation::SynchCommit {
-                            node: NodeId::new(i as u32),
-                            round: observation.round,
-                            previous: p,
-                        });
-                    }
-                    (Some(p), Some(c)) if c != p + 1 => {
-                        self.record(Violation::Correctness {
-                            node: NodeId::new(i as u32),
-                            round: observation.round,
-                            previous: p,
-                            current: c,
-                        });
-                    }
+        // Synch commit and correctness: a transition exists only if the
+        // node also ran in the previous observed round. A round spent
+        // inactive or crashed breaks the chain, so a node restarting with
+        // ⊥ is not a synch-commit violation.
+        for &i in observation.active {
+            let Some(current) = observation.nodes[i as usize].output() else {
+                continue;
+            };
+            let last = self.last[i as usize];
+            if last.round != 0 && last.round + 1 == round {
+                match (last.output, current) {
+                    (Some(p), None) => self.record(Violation::SynchCommit {
+                        node: NodeId::new(i),
+                        round: observation.round,
+                        previous: p,
+                    }),
+                    (Some(p), Some(c)) if c != p + 1 => self.record(Violation::Correctness {
+                        node: NodeId::new(i),
+                        round: observation.round,
+                        previous: p,
+                        current: c,
+                    }),
                     _ => {}
                 }
             }
-            self.previous[i] = current;
+            self.last[i as usize] = LastOutput {
+                round,
+                output: current,
+            };
         }
     }
 }
@@ -191,6 +208,13 @@ mod checker_tests {
     use wsync_radio::engine::NodeSummary;
     use wsync_radio::metrics::SimMetrics;
     use wsync_radio::trace::ActionView;
+
+    /// The active set the engine would report alongside `nodes`.
+    fn active_set(nodes: &[NodeView]) -> Vec<u32> {
+        (0..nodes.len() as u32)
+            .filter(|&i| nodes[i as usize].is_active())
+            .collect()
+    }
 
     /// Feeds a sequence of per-round output vectors into the checker.
     /// `None` = inactive, `Some(None)` = ⊥, `Some(Some(v))` = round number v.
@@ -204,11 +228,13 @@ mod checker_tests {
                     Some(out) => NodeView::Active { output: *out },
                 })
                 .collect();
+            let active = active_set(&nodes);
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
             checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
+                active: &active,
                 actions: &actions,
                 nodes: &nodes,
                 disrupted: &disrupted,
@@ -330,11 +356,13 @@ mod checker_tests {
                 .iter()
                 .map(|o| NodeView::Active { output: o.unwrap() })
                 .collect();
+            let active = active_set(&nodes);
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
             checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
+                active: &active,
                 actions: &actions,
                 nodes: &nodes,
                 disrupted: &disrupted,
@@ -346,6 +374,24 @@ mod checker_tests {
         let report = checker.finish(&fake_result(false));
         assert_eq!(report.violations.len(), MAX_RECORDED);
         assert_eq!(report.total_violations, 99);
+    }
+
+    #[test]
+    fn a_round_off_the_air_breaks_the_transition_chain() {
+        // Node 0 outputs 5, spends a round inactive (crashed), and comes
+        // back with ⊥ and then an unrelated number: neither return is a
+        // transition, so no synch-commit or correctness violation.
+        let rounds = vec![
+            vec![Some(Some(5))],
+            vec![None],
+            vec![Some(None)],
+            vec![Some(Some(5))],
+            vec![None],
+            vec![Some(Some(9))],
+        ];
+        let report = run_rounds(&rounds).finish(&fake_result(false));
+        assert_eq!(report.total_violations, 0);
+        assert_eq!(report.rounds_observed, 6);
     }
 
     #[test]

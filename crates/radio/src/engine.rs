@@ -905,6 +905,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         let observation = RoundObservation {
             round,
             newly_activated: &self.scratch.newly_activated,
+            active: &self.active,
             actions: &self.scratch.actions,
             nodes: &self.scratch.node_views,
             disrupted: &disrupted,

@@ -149,6 +149,8 @@ mod tests {
         RoundObservation {
             round,
             newly_activated: &[],
+            // Every test observation here has exactly one node, running.
+            active: &[0],
             actions,
             nodes,
             disrupted,

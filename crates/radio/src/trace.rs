@@ -5,9 +5,9 @@
 //! as one borrowed [`RoundObservation`] over its reusable
 //! structure-of-arrays scratch.
 //! The `wsync-core` property checker consumes the same stream to verify
-//! the five requirements of the wireless synchronization problem online
-//! with O(n) memory; [`FullTrace`] records everything and is intended for
-//! tests and debugging of small executions.
+//! the five requirements of the wireless synchronization problem online,
+//! walking only the round's active set; [`FullTrace`] records everything
+//! and is intended for tests and debugging of small executions.
 
 use crate::adversary::DisruptionSet;
 use crate::frequency::Frequency;
@@ -131,6 +131,12 @@ pub struct RoundObservation<'a> {
     pub round: u64,
     /// Nodes newly activated at the beginning of this round.
     pub newly_activated: &'a [NodeId],
+    /// The engine's active set: the indices of the nodes that ran this
+    /// round, strictly ascending. Invariant: `i` is listed exactly when
+    /// `nodes[i]` is [`NodeView::Active`], so a probe that only cares
+    /// about running nodes can walk this list in O(active) instead of
+    /// scanning all of `nodes`.
+    pub active: &'a [u32],
     /// Per-node action, indexed by node index.
     pub actions: &'a [ActionView],
     /// Per-node view after the round, indexed by node index.
@@ -218,11 +224,13 @@ mod tests {
         actions: &'a [ActionView],
         disrupted: &'a DisruptionSet,
         newly: &'a [NodeId],
+        active: &'a [u32],
         deliveries: &'a [Delivery],
     ) -> RoundObservation<'a> {
         RoundObservation {
             round,
             newly_activated: newly,
+            active,
             actions,
             nodes,
             disrupted,
@@ -263,6 +271,7 @@ mod tests {
             &actions_r0,
             &disrupted,
             &newly,
+            &[0],
             &deliveries,
         ));
 
@@ -277,6 +286,7 @@ mod tests {
             &actions_r1,
             &disrupted,
             &[],
+            &[0, 1],
             &[],
         ));
 

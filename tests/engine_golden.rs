@@ -603,3 +603,44 @@ faulty/full-stack/adaptive-greedy trace{max_rounds:0} {"rounds_recorded":0,"tota
 faulty/full-stack/adaptive-greedy trace{max_rounds:32} {"rounds_recorded":32,"total_deliveries":15,"sync_rounds":[null,null,null,null,null,null,null,null]}
 faulty/full-stack/adaptive-greedy fault-counters {"dropped_deliveries":8,"suppressed_receptions":8,"severed_receptions":22,"crashed_node_rounds":18,"restarts":4}
 "#;
+
+// ---------------------------------------------------------------------------
+// The property checker walks only the engine's active set. On every golden
+// case, the active-set invariant it relies on holds on every round, and its
+// report equals the dense reference's (`support/checker_reference.rs`).
+// ---------------------------------------------------------------------------
+
+#[path = "support/checker_reference.rs"]
+mod checker_reference;
+
+/// All fourteen pinned cases, fault-free first.
+fn all_golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
+    let mut specs = golden_specs();
+    specs.extend(faulty_golden_specs());
+    specs
+}
+
+#[test]
+fn active_set_invariant_holds_on_every_golden_round() {
+    for (name, spec, seed) in all_golden_specs() {
+        let checked = checker_reference::run_checked(checker_reference::spec_engine(&spec, seed));
+        assert_eq!(
+            checked.invariant.rounds_checked, checked.result.rounds_executed,
+            "{name}: the invariant probe missed rounds"
+        );
+    }
+}
+
+#[test]
+fn checker_matches_the_dense_reference_on_every_golden_case() {
+    for (name, spec, seed) in all_golden_specs() {
+        let checked = checker_reference::run_checked(checker_reference::spec_engine(&spec, seed));
+        assert_eq!(
+            checked.checker, checked.dense,
+            "{name}: the active-set checker and the dense reference disagree"
+        );
+        // The hand-wired engine above is the one `Sim::run_one` runs.
+        let outcome = Sim::from_spec(&spec).unwrap().run_one(seed);
+        assert_eq!(checked.checker, outcome.properties, "{name}");
+    }
+}

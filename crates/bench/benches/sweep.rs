@@ -1,7 +1,7 @@
 //! Benchmarks of the sweep-orchestration and result-store layer.
 //!
-//! * `sweep_orchestration` — the same grid run as a per-point `run_stats`
-//!   loop (each point drains on its own) versus one [`SweepRunner`] pass
+//! * `sweep_orchestration` — the same grid run as a per-point batch loop
+//!   (each point drains on its own) versus one [`SweepRunner`] pass
 //!   (work stealing over the whole grid-point × seed space). The runner
 //!   should win whenever per-point trial costs are uneven.
 //! * `store_cache` — the cost of a fully cached sweep replay (every trial
@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wsync_core::batch::BatchRunner;
+use wsync_core::batch::{BatchRunner, BatchStats};
 use wsync_core::sim::Sim;
 use wsync_core::spec::{ScenarioSpec, SweepSpec};
 use wsync_core::store::ResultStore;
@@ -36,9 +36,16 @@ fn bench_sweep_orchestration(c: &mut Criterion) {
         |b, sweep| {
             b.iter(|| {
                 let runner = BatchRunner::new();
-                let sims = Sim::from_sweep(sweep).unwrap();
-                sims.iter()
-                    .map(|(_, sim)| sim.run_stats(&runner).trials)
+                let seeds = sweep.seeds().unwrap();
+                sweep
+                    .expand()
+                    .unwrap()
+                    .iter()
+                    .map(|point| {
+                        let sim = Sim::from_spec(&point.spec).unwrap();
+                        let outcomes = runner.map(seeds.clone(), |seed| sim.run_one(seed));
+                        BatchStats::aggregate(&outcomes).trials
+                    })
                     .sum::<u64>()
             })
         },

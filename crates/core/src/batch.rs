@@ -31,9 +31,9 @@
 //! use wsync_core::spec::ScenarioSpec;
 //!
 //! let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
-//! let stats = Sim::from_spec(&spec)?
-//!     .seeds(0..8)
-//!     .run_stats(&BatchRunner::new());
+//! let sim = Sim::from_spec(&spec)?;
+//! let outcomes = BatchRunner::new().map(0..8, |seed| sim.run_one(seed));
+//! let stats = BatchStats::aggregate(&outcomes);
 //! assert_eq!(stats.trials, 8);
 //! assert!(stats.sync_rate() > 0.9);
 //! # Ok::<(), wsync_core::spec::SpecError>(())
@@ -48,77 +48,7 @@ use std::thread;
 
 use wsync_stats::{OnlineStats, Summary};
 
-use crate::good_samaritan::GoodSamaritanConfig;
 use crate::report::SyncOutcome;
-use crate::runner::{good_samaritan_component, trapdoor_component, Scenario};
-use crate::spec::ComponentSpec;
-use crate::trapdoor::TrapdoorConfig;
-
-/// Typed shorthand for the built-in protocols, optionally with an explicit
-/// configuration.
-///
-/// Like [`AdversaryKind`](crate::runner::AdversaryKind), this enum predates
-/// the open [`registry`](crate::registry): it remains as a typo-proof way
-/// to name a built-in protocol and converts into the registry's
-/// [`ComponentSpec`] form via [`Into`]. Protocols added by downstream
-/// crates have no variant here — address them by name through
-/// [`Sim`](crate::sim::Sim).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ProtocolKind {
-    /// The Trapdoor Protocol with default constants.
-    #[default]
-    Trapdoor,
-    /// The Trapdoor Protocol with an explicit configuration.
-    TrapdoorWith(TrapdoorConfig),
-    /// The Good Samaritan Protocol with default constants.
-    GoodSamaritan,
-    /// The Good Samaritan Protocol with an explicit configuration.
-    GoodSamaritanWith(GoodSamaritanConfig),
-    /// The multi-frequency wake-up-style baseline.
-    Wakeup,
-    /// The deterministic round-robin hopping baseline.
-    RoundRobin,
-    /// The single-frequency Trapdoor baseline.
-    SingleFrequency,
-}
-
-impl ProtocolKind {
-    /// The registry component this variant denotes.
-    pub fn to_component(&self) -> ComponentSpec {
-        match self {
-            ProtocolKind::Trapdoor => ComponentSpec::named("trapdoor"),
-            ProtocolKind::TrapdoorWith(config) => trapdoor_component(config),
-            ProtocolKind::GoodSamaritan => ComponentSpec::named("good-samaritan"),
-            ProtocolKind::GoodSamaritanWith(config) => good_samaritan_component(config),
-            ProtocolKind::Wakeup => ComponentSpec::named("wakeup"),
-            ProtocolKind::RoundRobin => ComponentSpec::named("round-robin"),
-            ProtocolKind::SingleFrequency => ComponentSpec::named("single-frequency"),
-        }
-    }
-
-    /// A short name for experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolKind::Trapdoor | ProtocolKind::TrapdoorWith(_) => "trapdoor",
-            ProtocolKind::GoodSamaritan | ProtocolKind::GoodSamaritanWith(_) => "good-samaritan",
-            ProtocolKind::Wakeup => "wakeup",
-            ProtocolKind::RoundRobin => "round-robin",
-            ProtocolKind::SingleFrequency => "single-frequency",
-        }
-    }
-}
-
-impl From<ProtocolKind> for ComponentSpec {
-    fn from(kind: ProtocolKind) -> Self {
-        kind.to_component()
-    }
-}
-
-impl From<&ProtocolKind> for ComponentSpec {
-    fn from(kind: &ProtocolKind) -> Self {
-        kind.to_component()
-    }
-}
 
 /// How many seeds a worker may run ahead of the in-order fold cursor in
 /// [`BatchRunner::try_map_each`] before stalling. Bounds the collector's
@@ -382,16 +312,6 @@ impl BatchRunner {
             None => Ok(()),
         }
     }
-
-    /// Runs `trial(scenario, seed)` for every seed and returns the outcomes
-    /// in seed order. Use this for bespoke trials (custom protocol
-    /// factories, wrappers such as the fault-tolerance crash harness).
-    pub fn run_with<F>(&self, scenario: &Scenario, seeds: Range<u64>, trial: F) -> Vec<SyncOutcome>
-    where
-        F: Fn(&Scenario, u64) -> SyncOutcome + Sync,
-    {
-        self.map(seeds, |seed| trial(scenario, seed))
-    }
 }
 
 /// Aggregate statistics over a batch of [`SyncOutcome`]s.
@@ -556,16 +476,16 @@ mod tests {
 
     #[test]
     fn parallel_results_equal_serial_results() {
-        let sim = Sim::from_spec(&spec()).unwrap().seeds(0..12);
-        let serial = sim.run(&BatchRunner::serial());
-        let parallel = sim.run(&BatchRunner::with_workers(4));
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let serial = BatchRunner::serial().map(0..12, |seed| sim.run_one(seed));
+        let parallel = BatchRunner::with_workers(4).map(0..12, |seed| sim.run_one(seed));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn batch_matches_direct_sim_calls() {
-        let sim = Sim::from_spec(&spec()).unwrap().seeds(5..9);
-        let batch = sim.run(&BatchRunner::with_workers(3));
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let batch = BatchRunner::with_workers(3).map(5..9, |seed| sim.run_one(seed));
         let direct: Vec<_> = (5..9).map(|seed| sim.run_one(seed)).collect();
         assert_eq!(batch, direct);
     }
@@ -687,10 +607,8 @@ mod tests {
 
     #[test]
     fn empty_seed_range_yields_empty_batch() {
-        let outcomes = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(7..7)
-            .run(&BatchRunner::new());
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let outcomes = BatchRunner::new().map(7..7, |seed| sim.run_one(seed));
         assert!(outcomes.is_empty());
         let stats = BatchStats::aggregate(&outcomes);
         assert_eq!(stats.trials, 0);
@@ -700,10 +618,8 @@ mod tests {
 
     #[test]
     fn stats_fold_counts_clean_runs() {
-        let stats = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(0..8)
-            .run_stats(&BatchRunner::new());
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let stats = BatchStats::aggregate(&BatchRunner::new().map(0..8, |seed| sim.run_one(seed)));
         assert_eq!(stats.trials, 8);
         assert!(stats.synced >= stats.clean);
         assert!(stats.single_leader >= stats.clean);
@@ -715,32 +631,9 @@ mod tests {
     }
 
     #[test]
-    fn every_protocol_kind_maps_onto_the_registry() {
-        let scenario = Scenario::new(4, 8, 1).with_adversary("random");
-        let kinds = [
-            ProtocolKind::Trapdoor,
-            ProtocolKind::TrapdoorWith(TrapdoorConfig::new(4, 8, 1)),
-            ProtocolKind::GoodSamaritan,
-            ProtocolKind::GoodSamaritanWith(GoodSamaritanConfig::new(4, 8, 1)),
-            ProtocolKind::Wakeup,
-            ProtocolKind::RoundRobin,
-            ProtocolKind::SingleFrequency,
-        ];
-        for kind in &kinds {
-            let sim = Sim::from_scenario(&scenario, kind.to_component()).unwrap();
-            let outcomes = sim.seeds(0..2).run(&BatchRunner::with_workers(2));
-            assert_eq!(outcomes.len(), 2);
-            assert!(!kind.name().is_empty());
-            assert_eq!(kind.to_component().name(), kind.name());
-        }
-    }
-
-    #[test]
     fn incremental_fold_is_bit_identical_to_slice_aggregation() {
-        let outcomes = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(0..10)
-            .run(&BatchRunner::new());
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let outcomes = BatchRunner::new().map(0..10, |seed| sim.run_one(seed));
         // reference: the historical Vec-collecting implementation
         let mut rounds = Vec::new();
         let mut completions = Vec::new();

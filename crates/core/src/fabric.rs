@@ -156,30 +156,20 @@ pub struct FabricConfig {
     /// slowest single trial plus scheduler noise: a *live* worker
     /// heartbeats every trial.
     pub lease_ttl: Duration,
-    /// How long a worker sleeps between passes when every remaining shard
-    /// is held by a live peer.
-    pub poll_interval: Duration,
 }
 
 impl FabricConfig {
-    /// A config with the default TTL (30 s) and poll interval (25 ms).
+    /// A config with the default TTL (30 s).
     pub fn new(holder: impl Into<String>) -> Self {
         FabricConfig {
             holder: holder.into(),
             lease_ttl: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
         }
     }
 
     /// Overrides the stale-lease TTL.
     pub fn lease_ttl(mut self, ttl: Duration) -> Self {
         self.lease_ttl = ttl;
-        self
-    }
-
-    /// Overrides the idle poll interval.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 }
@@ -820,6 +810,9 @@ fn drain_shards<F>(
 where
     F: FnMut(&WorkerEvent),
 {
+    // How long a worker sleeps between passes when every remaining shard
+    // is held by a live peer.
+    const POLL_INTERVAL: Duration = Duration::from_millis(25);
     let start = (fnv1a(config.holder.as_bytes()) % SHARD_COUNT as u64) as usize;
     let mut done: Vec<bool> = by_shard.iter().map(Vec::is_empty).collect();
     loop {
@@ -906,7 +899,7 @@ where
             // finishes (the shard completes) or dies (its lease goes
             // stale and is reclaimed), so this loop terminates.
             summary.idle_passes += 1;
-            std::thread::sleep(config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 }

@@ -29,7 +29,8 @@
 //!   API: string-keyed protocol/adversary/probe factories,
 //!   JSON-serializable [`ScenarioSpec`]/[`SweepSpec`] descriptions
 //!   (including the `"probes"` observation stack), and the validated
-//!   [`Sim`] builder every execution flows through.
+//!   [`Sim`] builder every trial flows through (one trial per call; it
+//!   neither batches nor caches).
 //! * [`store`] / [`sweep`] — the persistence and orchestration layer: a
 //!   content-addressed [`ResultStore`] of completed
 //!   trials (sharded JSONL, keyed by canonical spec digest + seed) and the
@@ -85,7 +86,7 @@ pub mod prelude {
     pub use crate::baselines::{
         RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol,
     };
-    pub use crate::batch::{BatchRunner, BatchStats, BatchStatsFold, ProtocolKind};
+    pub use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
     pub use crate::checker::{PropertyChecker, PropertyReport, Violation};
     pub use crate::fabric::{FabricConfig, FabricError, WorkerEvent, WorkerSummary};
     pub use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol, SamaritanRole};
@@ -93,7 +94,7 @@ pub mod prelude {
     pub use crate::problem::{ProblemInstance, SyncOutput};
     pub use crate::registry::{ProbeOutput, Registry, SimProbe};
     pub use crate::report::SyncOutcome;
-    pub use crate::runner::{run_protocol, AdversaryKind, Scenario, SyncProtocol};
+    pub use crate::runner::{run_protocol, Scenario, SyncProtocol};
     pub use crate::sim::{ProbedOutcome, Sim};
     pub use crate::spec::{ComponentSpec, ScenarioSpec, SpecError, SweepSpec};
     pub use crate::store::ResultStore;

@@ -1,9 +1,10 @@
-//! Convenience wiring between the protocols and the radio engine.
+//! The engine wiring shared by every execution.
 //!
 //! A [`Scenario`] describes one synchronization setting — how many devices,
 //! how many frequencies, the disruption bound, which adversary (by registry
-//! name, see [`crate::registry`]), and the activation schedule. The primary
-//! way to execute one is the [`Sim`](crate::sim::Sim) builder:
+//! name, see [`crate::registry`]), the fault layers, and the activation
+//! schedule. The primary way to execute one is the
+//! [`Sim`](crate::sim::Sim) builder, one trial per seed:
 //!
 //! ```
 //! use wsync_core::sim::Sim;
@@ -15,9 +16,11 @@
 //! # Ok::<(), wsync_core::spec::SpecError>(())
 //! ```
 //!
-//! [`run_protocol`] remains the statically-typed escape hatch for custom
+//! [`run_protocol`] is the statically-typed escape hatch for custom
 //! protocol types that are not registered (e.g. the fault-tolerance
-//! crash wrapper).
+//! crash wrapper). Both paths end in the one crate-private engine
+//! invocation here, which attaches the [`PropertyChecker`] and counts
+//! leaders.
 
 use wsync_radio::activation::ActivationSchedule;
 use wsync_radio::adversary::{Adversary, DisruptionSet};
@@ -31,12 +34,12 @@ use wsync_radio::rng::SimRng;
 
 use crate::baselines::{RoundRobinProtocol, WakeupProtocol};
 use crate::checker::PropertyChecker;
-use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
+use crate::good_samaritan::GoodSamaritanProtocol;
 use crate::params::next_power_of_two;
 use crate::registry;
 use crate::report::SyncOutcome;
 use crate::spec::ComponentSpec;
-use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
+use crate::trapdoor::TrapdoorProtocol;
 
 /// Protocols that elect a leader while solving wireless synchronization.
 ///
@@ -83,85 +86,6 @@ impl SyncProtocol for RoundRobinProtocol {
     }
     fn protocol_name(&self) -> &'static str {
         "round-robin"
-    }
-}
-
-/// Typed shorthand for the built-in adversaries.
-///
-/// This enum predates the open [`registry`]; it remains as
-/// a convenient, typo-proof way to name a built-in adversary
-/// (`scenario.with_adversary(AdversaryKind::Random)`) and converts into the
-/// registry's [`ComponentSpec`] form via [`Into`]. Adversaries added by
-/// downstream crates have no variant here — they are addressed by name —
-/// which is why building one goes through the registry
-/// (`registry::build_adversary(&kind.to_component(), scenario, seed)`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdversaryKind {
-    /// No disruption at all.
-    None,
-    /// Always disrupt frequencies `1..=t` (the Theorem 1 weak adversary).
-    FixedBand,
-    /// Disrupt `t` fresh uniformly random frequencies each round.
-    Random,
-    /// A sweeping window of `t` frequencies.
-    Sweep,
-    /// Bursty interference: jam `t` random frequencies during the first
-    /// `burst_len` rounds of every `period`-round cycle.
-    Bursty {
-        /// Cycle length in rounds.
-        period: u64,
-        /// Jamming rounds at the start of each cycle.
-        burst_len: u64,
-    },
-    /// Adaptive: jam the `t` frequencies with the most recent listeners.
-    AdaptiveGreedy,
-    /// Oblivious adversary jamming exactly `t_actual ≤ t` random frequencies
-    /// per round, pre-sampled before the execution (the Good Samaritan
-    /// good-execution adversary).
-    ObliviousRandom {
-        /// Actual number of frequencies disrupted per round (`t′`).
-        t_actual: u32,
-    },
-}
-
-impl AdversaryKind {
-    /// A short name for experiment tables — the same string the registry
-    /// uses as this adversary's key.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdversaryKind::None => "none",
-            AdversaryKind::FixedBand => "fixed-band",
-            AdversaryKind::Random => "random",
-            AdversaryKind::Sweep => "sweep",
-            AdversaryKind::Bursty { .. } => "bursty",
-            AdversaryKind::AdaptiveGreedy => "adaptive-greedy",
-            AdversaryKind::ObliviousRandom { .. } => "oblivious-random",
-        }
-    }
-
-    /// The registry component this variant denotes.
-    pub fn to_component(&self) -> ComponentSpec {
-        match self {
-            AdversaryKind::Bursty { period, burst_len } => ComponentSpec::named("bursty")
-                .with("period", *period)
-                .with("burst_len", *burst_len),
-            AdversaryKind::ObliviousRandom { t_actual } => {
-                ComponentSpec::named("oblivious-random").with("t_actual", u64::from(*t_actual))
-            }
-            other => ComponentSpec::named(other.name()),
-        }
-    }
-}
-
-impl From<AdversaryKind> for ComponentSpec {
-    fn from(kind: AdversaryKind) -> Self {
-        kind.to_component()
-    }
-}
-
-impl From<&AdversaryKind> for ComponentSpec {
-    fn from(kind: &AdversaryKind) -> Self {
-        kind.to_component()
     }
 }
 
@@ -261,8 +185,8 @@ impl Scenario {
         }
     }
 
-    /// Sets the adversary — a registry name (`"random"`), a
-    /// [`ComponentSpec`] with parameters, or a typed [`AdversaryKind`].
+    /// Sets the adversary — a registry name (`"random"`) or a
+    /// [`ComponentSpec`] with parameters.
     pub fn with_adversary(mut self, adversary: impl Into<ComponentSpec>) -> Self {
         self.adversary = adversary.into();
         self
@@ -318,40 +242,11 @@ impl Scenario {
 }
 
 /// The one engine-invocation path shared by every run in the workspace:
-/// builds the engine, composes the probe stack (the property checker plus
-/// any declarative probes), executes, and counts leaders. Both
-/// [`run_protocol`] (statically typed) and
-/// [`Sim::run_one`](crate::sim::Sim::run_one) (registry path) end here.
-pub(crate) fn execute<P, F>(
-    scenario: &Scenario,
-    factory: F,
-    adversary: BoxedAdversary,
-    seed: u64,
-) -> SyncOutcome
-where
-    P: SyncProtocol,
-    F: FnMut(NodeId) -> P,
-{
-    let faults = build_scenario_faults(scenario);
-    execute_probed(scenario, factory, adversary, seed, Vec::new(), faults).0
-}
-
-/// Builds the fault layers a scenario declares, resolving names against the
-/// process-global registry. Panics on an unknown name or bad parameters —
-/// callers on the validated [`Sim`](crate::sim::Sim) path build layers from factories
-/// resolved at construction instead.
-pub(crate) fn build_scenario_faults(scenario: &Scenario) -> Vec<Box<dyn FaultLayer>> {
-    scenario
-        .faults
-        .iter()
-        .map(|fault| {
-            registry::build_fault(fault, scenario)
-                .unwrap_or_else(|e| panic!("scenario fault failed to build: {e}"))
-        })
-        .collect()
-}
-
-/// [`execute`] with declarative probes attached to the engine's stack.
+/// builds the engine, attaches the fault layers, composes the probe stack
+/// (the property checker plus any declarative probes), executes, and
+/// counts leaders. Both [`run_protocol`] (statically typed) and
+/// [`Sim`](crate::sim::Sim) (registry path) end here.
+///
 /// Returns the outcome together with each probe's finalized output, in
 /// declaration order; probes finalize against the finished outcome, so the
 /// one [`PropertyChecker`] attached here serves them too. Probes only
@@ -414,12 +309,13 @@ where
 /// the synchronization properties online.
 ///
 /// This is the statically-typed escape hatch for protocol types that are
-/// not registered (wrappers, instrumented variants). The adversary is still
-/// resolved by name through the global registry.
+/// not registered (wrappers, instrumented variants). The adversary and the
+/// fault layers are still resolved by name through the global registry.
 ///
 /// # Panics
 ///
-/// Panics when the scenario is invalid or its adversary cannot be resolved;
+/// Panics when the scenario is invalid or its adversary or a fault layer
+/// cannot be resolved or built;
 /// use [`Sim::from_spec`](crate::sim::Sim::from_spec) for fallible,
 /// validated construction.
 pub fn run_protocol<P, F>(scenario: &Scenario, factory: F, seed: u64) -> SyncOutcome
@@ -429,41 +325,15 @@ where
 {
     let adversary = registry::build_adversary(&scenario.adversary, scenario, seed)
         .unwrap_or_else(|e| panic!("scenario adversary failed to build: {e}"));
-    execute(scenario, factory, adversary, seed)
-}
-
-/// The registry parameters equivalent to an explicit [`TrapdoorConfig`].
-pub fn trapdoor_component(config: &TrapdoorConfig) -> ComponentSpec {
-    let mut component = ComponentSpec::named("trapdoor")
-        .with("upper_bound_n", config.upper_bound_n)
-        .with("num_frequencies", config.num_frequencies)
-        .with("disruption_bound", config.disruption_bound)
-        .with("epoch_constant", config.epoch_constant)
-        .with("final_epoch_constant", config.final_epoch_constant)
-        .with(
-            "leader_broadcast_probability",
-            config.leader_broadcast_probability,
-        );
-    if let Some(limit) = config.frequency_limit {
-        component = component.with("frequency_limit", limit);
-    }
-    component
-}
-
-/// The registry parameters equivalent to an explicit
-/// [`GoodSamaritanConfig`].
-pub fn good_samaritan_component(config: &GoodSamaritanConfig) -> ComponentSpec {
-    ComponentSpec::named("good-samaritan")
-        .with("upper_bound_n", config.upper_bound_n)
-        .with("num_frequencies", config.num_frequencies)
-        .with("disruption_bound", config.disruption_bound)
-        .with("epoch_constant", config.epoch_constant)
-        .with("threshold_shift", config.threshold_shift)
-        .with("fallback_multiplier", config.fallback_multiplier)
-        .with(
-            "leader_broadcast_probability",
-            config.leader_broadcast_probability,
-        )
+    let faults = scenario
+        .faults
+        .iter()
+        .map(|fault| {
+            registry::build_fault(fault, scenario)
+                .unwrap_or_else(|e| panic!("scenario fault failed to build: {e}"))
+        })
+        .collect();
+    execute_probed(scenario, factory, adversary, seed, Vec::new(), faults).0
 }
 
 #[cfg(test)]
@@ -486,30 +356,6 @@ mod tests {
         assert_eq!(cfg.num_nodes, 10);
         assert_eq!(cfg.upper_bound_n, 16);
         assert!(s.instance().is_valid());
-    }
-
-    #[test]
-    fn adversary_kind_converts_and_builds_all_variants() {
-        let s = Scenario::new(4, 8, 3);
-        for kind in [
-            AdversaryKind::None,
-            AdversaryKind::FixedBand,
-            AdversaryKind::Random,
-            AdversaryKind::Sweep,
-            AdversaryKind::Bursty {
-                period: 10,
-                burst_len: 2,
-            },
-            AdversaryKind::AdaptiveGreedy,
-            AdversaryKind::ObliviousRandom { t_actual: 2 },
-        ] {
-            let component = kind.to_component();
-            assert_eq!(component.name(), kind.name());
-            let mut adv = registry::build_adversary(&component, &s, 1).expect("builtin resolves");
-            let band = FrequencyBand::new(8);
-            let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
-            assert!(set.len() <= 8);
-        }
     }
 
     #[test]
@@ -558,24 +404,5 @@ mod tests {
         let a = run_named(&scenario, "trapdoor", 21);
         let b = run_named(&scenario, "trapdoor", 21);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explicit_config_components_reproduce_the_configs() {
-        let config = TrapdoorConfig::new(64, 16, 4)
-            .with_epoch_constant(1.5)
-            .with_frequency_limit(3);
-        let component = trapdoor_component(&config);
-        assert_eq!(component.name(), "trapdoor");
-        let scenario = Scenario::new(8, 16, 4);
-        // rebuilding through the registry yields the same protocol config
-        let factory = registry::resolve_protocol("trapdoor").unwrap();
-        assert!(factory.instantiate(&scenario, &component.params).is_ok());
-
-        let gs = GoodSamaritanConfig::new(32, 8, 2).with_threshold_shift(5);
-        let component = good_samaritan_component(&gs);
-        assert_eq!(component.name(), "good-samaritan");
-        let factory = registry::resolve_protocol("good-samaritan").unwrap();
-        assert!(factory.instantiate(&scenario, &component.params).is_ok());
     }
 }

@@ -1,23 +1,24 @@
-//! The simulation builder: one validated, runnable entry point.
+//! The simulation builder: one validated, runnable trial.
 //!
 //! [`Sim`] is the single code path every execution in the workspace goes
 //! through. Build one from a declarative [`ScenarioSpec`] (possibly loaded
 //! from JSON) or from an existing runtime [`Scenario`] plus a protocol
-//! name, choose a seed range, and run — one trial at a time or sharded
-//! across cores by a [`BatchRunner`]:
+//! name, then run one trial per seed:
 //!
 //! ```
-//! use wsync_core::batch::BatchRunner;
 //! use wsync_core::sim::Sim;
 //! use wsync_core::spec::ScenarioSpec;
 //!
 //! let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
-//! let outcomes = Sim::from_spec(&spec)?
-//!     .seeds(0..8)
-//!     .run(&BatchRunner::new());
-//! assert_eq!(outcomes.len(), 8);
+//! let outcome = Sim::from_spec(&spec)?.run_one(7);
+//! assert!(outcome.result.all_synchronized);
 //! # Ok::<(), wsync_core::spec::SpecError>(())
 //! ```
+//!
+//! A `Sim` neither batches nor caches. Many seeds, grids and the
+//! persistent result store go through
+//! [`SweepRunner`](crate::sweep::SweepRunner); a bare seed range is
+//! `BatchRunner::map(seeds, |seed| sim.run_one(seed))`.
 //!
 //! All validation happens in [`Sim::from_spec`]: protocol and adversary
 //! names resolve against the [`registry`], their
@@ -25,19 +26,15 @@
 //! `SimConfig::validate` — so a bad spec is a typed [`SpecError`] at build
 //! time, never a panic mid-run.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::batch::{BatchRunner, BatchStats};
 use crate::registry::{
-    AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, Registry,
-    RegistryProbe,
+    self, AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, RegistryProbe,
 };
 use crate::report::SyncOutcome;
 use crate::runner::{execute_probed, Scenario};
 use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
-use crate::store::{spec_digest, ResultStore};
-use crate::{registry, spec};
+use crate::store::spec_digest;
 
 /// One trial's outcome together with the outputs of the spec's declared
 /// probes (see [`Sim::run_probed`]).
@@ -46,27 +43,20 @@ pub struct ProbedOutcome {
     /// The trial outcome — bit-identical to what [`Sim::run_one`] returns,
     /// probes or not.
     pub outcome: SyncOutcome,
-    /// The declared probes' finalized outputs, in declaration order —
-    /// `None` when the trial was served from an attached [`ResultStore`]
-    /// without executing the engine (probes observe live executions only;
-    /// use [`SweepRunner::record_only`](crate::sweep::SweepRunner::record_only)
-    /// semantics to force execution).
-    pub probes: Option<Vec<ProbeOutput>>,
+    /// The declared probes' finalized outputs, in declaration order.
+    pub probes: Vec<ProbeOutput>,
 }
 
 /// A fully validated, runnable simulation: scenario, resolved protocol
-/// constructor, resolved adversary factory, resolved probe factories, and
-/// a seed range.
+/// constructor, resolved adversary factory, resolved probe and fault
+/// factories, and the canonical spec digest.
 pub struct Sim {
     scenario: Scenario,
-    protocol: ComponentSpec,
     ctor: ProtocolCtor,
     adversary: Arc<dyn AdversaryFactory>,
     probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
     faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
-    seeds: Range<u64>,
     digest: u64,
-    store: Option<Arc<ResultStore>>,
 }
 
 impl Sim {
@@ -79,37 +69,41 @@ impl Sim {
     /// `n = 0`, `N < n`, a zero round cap), a name is unknown, or a
     /// parameter is missing, mistyped, or unrecognised.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        Sim::build(
-            spec,
-            registry::resolve_protocol(spec.protocol.name())?,
-            registry::resolve_adversary(spec.adversary.name())?,
-            spec.probes
-                .iter()
-                .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-            spec.faults
-                .iter()
-                .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-        )
-    }
-
-    /// Builds a simulation from a declarative spec, resolving names against
-    /// an explicit registry instead of the process-global one.
-    pub fn from_spec_in(registry: &Registry, spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        Sim::build(
-            spec,
-            registry.protocol(spec.protocol.name())?,
-            registry.adversary(spec.adversary.name())?,
-            spec.probes
-                .iter()
-                .map(|probe| Ok((probe.clone(), registry.probe(probe.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-            spec.faults
-                .iter()
-                .map(|fault| Ok((fault.clone(), registry.fault(fault.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-        )
+        let protocol = registry::resolve_protocol(spec.protocol.name())?;
+        let adversary = registry::resolve_adversary(spec.adversary.name())?;
+        let probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)> = spec
+            .probes
+            .iter()
+            .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
+            .collect::<Result<_, SpecError>>()?;
+        let faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)> = spec
+            .faults
+            .iter()
+            .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
+            .collect::<Result<_, SpecError>>()?;
+        spec.validate()?;
+        let scenario = spec.scenario();
+        let ctor = protocol.instantiate(&scenario, &spec.protocol.params)?;
+        // Probe-build the adversary, the probes, and the fault layers once
+        // so parameter errors surface here, keeping `run_one`/`run_probed`
+        // infallible. AdversaryFactory's contract requires validation to be
+        // seed-independent, so one probe covers all seeds; probe and fault
+        // factories take no seed at all.
+        adversary.build(&scenario, &spec.adversary.params, 0)?;
+        for (component, factory) in &probes {
+            factory.build(&scenario, &component.params)?;
+        }
+        for (component, factory) in &faults {
+            factory.build(&scenario, &component.params)?;
+        }
+        Ok(Sim {
+            scenario,
+            ctor,
+            adversary,
+            probes,
+            faults,
+            digest: spec_digest(spec),
+        })
     }
 
     /// Builds a simulation from a runtime [`Scenario`] plus a protocol
@@ -122,127 +116,35 @@ impl Sim {
         Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
     }
 
-    fn build(
-        spec: &ScenarioSpec,
-        protocol_factory: Arc<dyn crate::registry::ProtocolFactory>,
-        adversary_factory: Arc<dyn AdversaryFactory>,
-        probe_factories: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
-        fault_factories: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
-    ) -> Result<Self, SpecError> {
-        spec.validate()?;
-        let scenario = spec.scenario();
-        let ctor = protocol_factory.instantiate(&scenario, &spec.protocol.params)?;
-        // Probe-build the adversary, the probes, and the fault layers once
-        // so parameter errors surface here, keeping `run_one`/`run_probed`
-        // infallible. AdversaryFactory's contract requires validation to be
-        // seed-independent, so one probe covers all seeds; probe and fault
-        // factories take no seed at all.
-        adversary_factory.build(&scenario, &spec.adversary.params, 0)?;
-        for (component, factory) in &probe_factories {
-            factory.build(&scenario, &component.params)?;
-        }
-        for (component, factory) in &fault_factories {
-            factory.build(&scenario, &component.params)?;
-        }
-        Ok(Sim {
-            scenario,
-            protocol: spec.protocol.clone(),
-            ctor,
-            adversary: adversary_factory,
-            probes: probe_factories,
-            faults: fault_factories,
-            seeds: 0..1,
-            digest: spec_digest(spec),
-            store: None,
-        })
-    }
-
-    /// Sets the seed range subsequent [`run`](Self::run) /
-    /// [`run_stats`](Self::run_stats) calls execute (default `0..1`).
-    pub fn seeds(mut self, seeds: Range<u64>) -> Self {
-        self.seeds = seeds;
-        self
-    }
-
-    /// The runtime scenario this simulation executes.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The protocol component (registry name plus parameters).
-    pub fn protocol(&self) -> &ComponentSpec {
-        &self.protocol
-    }
-
-    /// The configured seed range.
-    pub fn seed_range(&self) -> Range<u64> {
-        self.seeds.clone()
-    }
-
-    /// Attaches a persistent [`ResultStore`]: subsequent
-    /// [`run_one`](Self::run_one) / [`run`](Self::run) calls serve
-    /// already-stored trials from the cache without executing the engine,
-    /// and persist every trial they do execute. Trials are keyed by the
-    /// canonical spec digest ([`spec_digest`]), so equivalent `Sim`s built
-    /// in different processes share entries.
-    pub fn store(mut self, store: &Arc<ResultStore>) -> Self {
-        self.store = Some(Arc::clone(store));
-        self
-    }
-
     /// The canonical content digest of this simulation's resolved spec —
-    /// the key its trials are stored under.
+    /// the key the result store files its trials under.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
     /// Runs a single trial. Executions are a pure function of
-    /// `(spec, seed)`; with a [`store`](Self::store) attached, an
-    /// already-stored trial is returned without touching the engine.
+    /// `(spec, seed)`.
     ///
     /// Declared probes are *not* run on this path (their outputs would be
     /// discarded); use [`run_probed`](Self::run_probed) to carry them. The
     /// outcome is identical either way — probes only observe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if persisting a fresh outcome to the attached store fails
-    /// (`run_one` stays infallible; orchestration layers that need typed
-    /// store errors use [`SweepRunner`](crate::sweep::SweepRunner)).
     pub fn run_one(&self, seed: u64) -> SyncOutcome {
-        self.run_inner(seed, false).outcome
+        self.execute(seed, false).0
     }
 
     /// Runs a single trial with the spec's declared probes attached to the
     /// engine's probe stack, returning the outcome together with each
-    /// probe's finalized output.
-    ///
-    /// With a [`store`](Self::store) attached, an already-stored trial is
-    /// served from the cache with `probes: None` — the engine did not run,
-    /// so there was nothing to observe. The outcome itself is bit-identical
-    /// to [`run_one`](Self::run_one) in every case (probes never perturb an
-    /// execution, and the store digest deliberately excludes them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if persisting a fresh outcome to the attached store fails,
-    /// like [`run_one`](Self::run_one).
+    /// probe's finalized output. The outcome is bit-identical to
+    /// [`run_one`](Self::run_one) (probes never perturb an execution).
     pub fn run_probed(&self, seed: u64) -> ProbedOutcome {
-        self.run_inner(seed, true)
+        let (outcome, probes) = self.execute(seed, true);
+        ProbedOutcome { outcome, probes }
     }
 
     /// The one trial path behind [`run_one`](Self::run_one) and
-    /// [`run_probed`](Self::run_probed): cache lookup, adversary (and
-    /// optionally probe) construction, execution, persistence.
-    fn run_inner(&self, seed: u64, probed: bool) -> ProbedOutcome {
-        if let Some(store) = &self.store {
-            if let Some(hit) = store.get(self.digest, seed) {
-                return ProbedOutcome {
-                    outcome: hit,
-                    probes: None,
-                };
-            }
-        }
+    /// [`run_probed`](Self::run_probed): adversary, fault layer (and
+    /// optionally probe) construction, then execution.
+    fn execute(&self, seed: u64, probed: bool) -> (SyncOutcome, Vec<ProbeOutput>) {
         let adversary = self
             .adversary
             .build(&self.scenario, &self.scenario.adversary.params, seed)
@@ -271,77 +173,26 @@ impl Sim {
                     .expect("fault parameters were validated when the Sim was built")
             })
             .collect();
-        let (outcome, outputs) = execute_probed(
+        execute_probed(
             &self.scenario,
             |id| (self.ctor)(id),
             adversary,
             seed,
             probes,
             faults,
-        );
-        if let Some(store) = &self.store {
-            store
-                .put(self.digest, seed, &outcome)
-                .expect("persisting a trial outcome to the result store failed");
-        }
-        ProbedOutcome {
-            outcome,
-            probes: probed.then_some(outputs),
-        }
-    }
-
-    /// The spec's declared probes (name-plus-params components), in
-    /// declaration order.
-    pub fn probe_components(&self) -> Vec<&ComponentSpec> {
-        self.probes.iter().map(|(component, _)| component).collect()
+        )
     }
 
     /// Whether the spec declares any probes.
     pub fn has_probes(&self) -> bool {
         !self.probes.is_empty()
     }
-
-    /// The spec's declared fault layers (name-plus-params components), in
-    /// declaration (stack) order.
-    pub fn fault_components(&self) -> Vec<&ComponentSpec> {
-        self.faults.iter().map(|(component, _)| component).collect()
-    }
-
-    /// Whether the spec declares any fault layers.
-    pub fn has_faults(&self) -> bool {
-        !self.faults.is_empty()
-    }
-
-    /// Runs every seed in the configured range on `runner`'s worker pool
-    /// and returns the outcomes in seed order (bit-identical to a serial
-    /// loop; see [`BatchRunner`]).
-    pub fn run(&self, runner: &BatchRunner) -> Vec<SyncOutcome> {
-        runner.map(self.seeds.clone(), |seed| self.run_one(seed))
-    }
-
-    /// Runs every seed in the configured range and folds the outcomes into
-    /// [`BatchStats`].
-    pub fn run_stats(&self, runner: &BatchRunner) -> BatchStats {
-        BatchStats::aggregate(&self.run(runner))
-    }
-
-    /// Expands a [`SweepSpec`](spec::SweepSpec) into `(label, Sim)` pairs,
-    /// one per grid point, each configured with the sweep's seed range.
-    pub fn from_sweep(sweep: &spec::SweepSpec) -> Result<Vec<(String, Sim)>, SpecError> {
-        let seeds = sweep.seeds()?;
-        sweep
-            .expand()?
-            .into_iter()
-            .map(|point| {
-                Sim::from_spec(&point.spec).map(|sim| (point.label, sim.seeds(seeds.clone())))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchRunner, BatchStats};
     use crate::spec::SweepSpec;
 
     #[test]
@@ -401,11 +252,13 @@ mod tests {
     #[test]
     fn batch_run_matches_serial_loop() {
         let spec = ScenarioSpec::new("wakeup", 6, 8, 1).with_adversary("random");
-        let sim = Sim::from_spec(&spec).unwrap().seeds(3..9);
-        let batch = sim.run(&BatchRunner::with_workers(4));
+        let sim = Sim::from_spec(&spec).unwrap();
+        let batch = BatchRunner::with_workers(4).map(3..9, |seed| sim.run_one(seed));
         let serial: Vec<_> = (3..9).map(|seed| sim.run_one(seed)).collect();
         assert_eq!(batch, serial);
-        let stats = sim.run_stats(&BatchRunner::with_workers(2));
+        let stats = BatchStats::aggregate(
+            &BatchRunner::with_workers(2).map(3..9, |seed| sim.run_one(seed)),
+        );
         assert_eq!(stats.trials, 6);
     }
 
@@ -414,43 +267,22 @@ mod tests {
         let base = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
         let sweep =
             SweepSpec::new(base, 0..2).with_axis("num_nodes", vec![4u64.into(), 6u64.into()]);
-        let sims = Sim::from_sweep(&sweep).unwrap();
-        assert_eq!(sims.len(), 2);
-        assert_eq!(sims[0].0, "num_nodes=4");
-        assert_eq!(sims[0].1.scenario().num_nodes, 4);
-        assert_eq!(sims[1].1.seed_range(), 0..2);
+        let points = sweep.expand().unwrap();
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].label, "num_nodes=4");
+        assert_eq!(points[0].spec.num_nodes, 4);
+        assert!(Sim::from_spec(&points[0].spec).is_ok());
+        assert_eq!(sweep.seeds().unwrap(), 0..2);
         // a sweep containing an invalid point fails as a whole
         let bad = SweepSpec::new(ScenarioSpec::new("trapdoor", 6, 8, 2), 0..2)
             .with_axis("disruption_bound", vec![1u64.into(), 8u64.into()]);
-        assert!(Sim::from_sweep(&bad).is_err());
-    }
-
-    #[test]
-    fn store_attached_sim_serves_cache_hits_without_the_engine() {
-        let dir = std::env::temp_dir().join(format!(
-            "wsync-sim-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
-        let plain = Sim::from_spec(&spec).unwrap();
-        let fresh = plain.run_one(3);
-
-        let store = Arc::new(crate::store::ResultStore::open(&dir).unwrap());
-        let sim = Sim::from_spec(&spec).unwrap().store(&store);
-        assert_eq!(sim.run_one(3), fresh); // miss: executes and records
-        assert!(store.contains(sim.digest(), 3));
-
-        // Reopen: poison the engine path by checking the stored outcome is
-        // what comes back, bit for bit, through a fresh process-like load.
-        let store = Arc::new(crate::store::ResultStore::open(&dir).unwrap());
-        assert_eq!(store.loaded_records(), 1);
-        let sim = Sim::from_spec(&spec).unwrap().store(&store);
-        assert_eq!(sim.run_one(3), fresh); // hit: served from the store
-        let batch = sim.seeds(3..4).run(&BatchRunner::new());
-        assert_eq!(batch, vec![fresh]);
-        let _ = std::fs::remove_dir_all(&dir);
+        let sims: Result<Vec<Sim>, SpecError> = bad
+            .expand()
+            .unwrap()
+            .iter()
+            .map(|point| Sim::from_spec(&point.spec))
+            .collect();
+        assert!(sims.is_err());
     }
 
     #[test]

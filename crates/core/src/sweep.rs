@@ -11,8 +11,7 @@
 //!   pairs form one global index space that the
 //!   [`BatchRunner`]'s worker pool drains through an atomic cursor, so a
 //!   grid point with slow trials cannot leave cores idle while a cheap
-//!   point finishes — unlike running the points one `run_stats` call at a
-//!   time.
+//!   point finishes — unlike draining the points one batch at a time.
 //! * **Streaming folds.** A collector re-orders finished trials back into
 //!   deterministic (point-major, seed-ascending) order and folds each one
 //!   into a [`BatchStatsFold`] the moment it arrives, then drops it.
@@ -972,8 +971,8 @@ impl SweepRunner {
             }
         }
         let (outcome, probes) = if probe_this {
-            let probed_outcome = sim.run_probed(seed);
-            (probed_outcome.outcome, probed_outcome.probes)
+            let probed = sim.run_probed(seed);
+            (probed.outcome, Some(probed.probes))
         } else {
             (sim.run_one(seed), None)
         };
@@ -1055,9 +1054,11 @@ mod tests {
         assert_eq!(report.seeds(), 0..5);
         assert_eq!(report.executed_trials(), 10);
         assert_eq!(report.cached_trials(), 0);
-        for (point, (label, sim)) in report.points.iter().zip(Sim::from_sweep(&sweep).unwrap()) {
-            assert_eq!(point.label, label);
-            assert_eq!(point.stats, sim.run_stats(&BatchRunner::serial()));
+        for (point, expected) in report.points.iter().zip(sweep.expand().unwrap()) {
+            assert_eq!(point.label, expected.label);
+            let sim = Sim::from_spec(&expected.spec).unwrap();
+            let outcomes = BatchRunner::serial().map(0..5, |seed| sim.run_one(seed));
+            assert_eq!(point.stats, BatchStats::aggregate(&outcomes));
         }
     }
 
@@ -1226,7 +1227,7 @@ mod tests {
         // one synced trial: rounds_to_sync has a single sample — the mean
         // rule must keep sampling, not read the degenerate width as done
         let sweep = sweep();
-        let sim = Sim::from_sweep(&sweep).unwrap().remove(0).1;
+        let sim = Sim::from_spec(&sweep.expand().unwrap()[0].spec).unwrap();
         let stats = BatchStats::aggregate(&[sim.run_one(0)]);
         assert!(!StoppingRule::new(StopMetric::SyncRoundsMean, 1e6).satisfied(&stats));
     }

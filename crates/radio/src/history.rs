@@ -77,10 +77,10 @@ impl RoundRecord {
 /// adversaries in this crate only look a bounded number of rounds back.
 ///
 /// Records are stored in a ring buffer, so windowed retention is O(1) per
-/// round, and the engine appends through
-/// [`push_recycled`](History::push_recycled), which reuses the evicted
-/// record's per-frequency buffer — in steady state the history performs no
-/// heap allocation at all.
+/// round. The engine's history is a [`Probe`] that appends through
+/// [`push_copied`](History::push_copied), which copies each round into the
+/// evicted record's per-frequency buffer — in steady state the history
+/// performs no heap allocation at all.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     records: VecDeque<RoundRecord>,
@@ -129,40 +129,13 @@ impl History {
         self.records.push_back(record);
     }
 
-    /// Appends a completed round assembled from the engine's reusable
-    /// per-round buffers.
-    ///
-    /// `activity` is taken by swap: on return it holds an *empty* buffer —
-    /// the evicted record's recycled allocation once the retention window
-    /// has filled — ready to be refilled next round. This is the engine's
-    /// steady-state append path; it never allocates once the window is full.
-    pub fn push_recycled(
-        &mut self,
-        round: u64,
-        activity: &mut Vec<FrequencyActivity>,
-        active_nodes: u32,
-        newly_activated: u32,
-    ) {
-        let mut storage = self
-            .evict_for_push()
-            .unwrap_or_else(|| Vec::with_capacity(activity.len()));
-        std::mem::swap(&mut storage, activity);
-        self.records.push_back(RoundRecord {
-            round,
-            activity: storage,
-            active_nodes,
-            newly_activated,
-        });
-    }
-
     /// Appends a completed round by copying a borrowed per-frequency slice
     /// into the evicted record's recycled buffer (a memcpy of `F` small
     /// `Copy` records — no steady-state allocation once the retention
     /// window has filled).
     ///
     /// This is the [`Probe`] append path: probe observations borrow the
-    /// engine's scratch, so the activity cannot be taken by swap the way
-    /// [`push_recycled`](History::push_recycled) does.
+    /// engine's scratch, so the activity is copied rather than taken.
     pub fn push_copied(
         &mut self,
         round: u64,
@@ -354,25 +327,24 @@ mod tests {
     }
 
     #[test]
-    fn push_recycled_matches_push_and_reuses_buffers() {
+    fn push_copied_matches_push_and_reuses_buffers() {
         let mut plain = History::with_window(3);
-        let mut recycled = History::with_window(3);
-        let mut scratch: Vec<FrequencyActivity> = Vec::new();
+        let mut copied = History::with_window(3);
         for r in 0..8 {
             let rec = record(r, &[(1, r as u32, false, false), (0, 2, r % 2 == 0, false)]);
-            scratch.extend(rec.activity.iter().cloned());
-            let active = rec.active_nodes;
+            copied.push_copied(r, &rec.activity, rec.active_nodes, 0);
             plain.push(rec);
-            recycled.push_recycled(r, &mut scratch, active, 0);
-            assert!(scratch.is_empty(), "buffer is returned empty for reuse");
         }
-        assert_eq!(plain.len(), recycled.len());
-        assert_eq!(plain.total_rounds(), recycled.total_rounds());
-        for (a, b) in plain.iter().zip(recycled.iter()) {
+        assert_eq!(plain.len(), copied.len());
+        assert_eq!(plain.total_rounds(), copied.total_rounds());
+        for (a, b) in plain.iter().zip(copied.iter()) {
             assert_eq!(a, b);
         }
-        // Once the window is full the recycled buffer keeps its capacity.
-        assert!(scratch.capacity() >= 2);
+        // Once the window is full each append refills an evicted buffer.
+        let oldest = copied.get(0).unwrap().activity.as_ptr();
+        let next = record(8, &[(0, 1, false, false), (1, 0, false, true)]);
+        copied.push_copied(8, &next.activity, next.active_nodes, 0);
+        assert_eq!(copied.last().unwrap().activity.as_ptr(), oldest);
     }
 
     #[test]

@@ -54,13 +54,20 @@ pub enum RequestError {
 /// Reads one line of the request head into `line`, charging its bytes to
 /// `budget`. A line that ends before its newline is
 /// [`HeadTooLarge`](RequestError::HeadTooLarge) when the budget ran out,
-/// [`Malformed`](RequestError::Malformed) when the connection closed.
+/// [`Malformed`](RequestError::Malformed) when the connection closed; a
+/// line that is not UTF-8 is [`Malformed`](RequestError::Malformed) too.
 fn read_head_line(
     reader: &mut impl BufRead,
     budget: &mut usize,
     line: &mut String,
 ) -> io::Result<Result<(), RequestError>> {
-    *budget -= reader.take(*budget as u64).read_line(line)?;
+    *budget -= match reader.take(*budget as u64).read_line(line) {
+        Ok(read) => read,
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            return Ok(Err(RequestError::Malformed))
+        }
+        Err(e) => return Err(e),
+    };
     Ok(if line.ends_with('\n') {
         Ok(())
     } else if *budget == 0 {
@@ -85,7 +92,7 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestErr
     };
     let method = method.to_string();
     let path = path.to_string();
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     loop {
         let mut header = String::new();
         if let Err(e) = read_head_line(&mut reader, &mut budget, &mut header)? {
@@ -100,10 +107,16 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestErr
                 let Ok(n) = value.trim().parse::<usize>() else {
                     return Ok(Err(RequestError::Malformed));
                 };
-                content_length = n;
+                // RFC 9112 §6.3: differing lengths leave the body's end
+                // ambiguous, so the request is rejected rather than guessed.
+                if content_length.is_some_and(|seen| seen != n) {
+                    return Ok(Err(RequestError::Malformed));
+                }
+                content_length = Some(n);
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Ok(Err(RequestError::BodyTooLarge));
     }
@@ -174,13 +187,13 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    fn request_roundtrip(raw: &str) -> Result<Request, RequestError> {
+    fn request_roundtrip(raw: impl AsRef<[u8]>) -> Result<Request, RequestError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
+        let raw = raw.as_ref().to_vec();
         let writer = std::thread::spawn(move || {
             let mut out = TcpStream::connect(addr).unwrap();
-            out.write_all(raw.as_bytes()).unwrap();
+            out.write_all(&raw).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
         let parsed = read_request(&stream).unwrap();
@@ -215,7 +228,7 @@ mod tests {
             Err(RequestError::Malformed)
         );
         assert_eq!(
-            request_roundtrip(&format!(
+            request_roundtrip(format!(
                 "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
                 MAX_BODY + 1
             )),
@@ -224,16 +237,44 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_head_that_is_not_utf8() {
+        assert_eq!(
+            request_roundtrip(b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
+            Err(RequestError::Malformed)
+        );
+        assert_eq!(
+            request_roundtrip(b"GET / HTTP/1.1\r\nX-Name: \xc3\x28\r\n\r\n"),
+            Err(RequestError::Malformed)
+        );
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        assert_eq!(
+            request_roundtrip(
+                "POST /run HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\n{\"a\":1}"
+            ),
+            Err(RequestError::Malformed)
+        );
+        // A repeated identical length is unambiguous and still accepted.
+        let req = request_roundtrip(
+            "POST /run HTTP/1.1\r\nContent-Length: 7\r\ncontent-length: 7\r\n\r\n{\"a\":1}",
+        )
+        .unwrap();
+        assert_eq!(req.body, b"{\"a\":1}");
+    }
+
+    #[test]
     fn rejects_an_oversized_head() {
         let long_header = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD));
         assert_eq!(
-            request_roundtrip(&long_header),
+            request_roundtrip(long_header),
             Err(RequestError::HeadTooLarge)
         );
         // A head that fits exactly is still read.
         let line = "GET / HTTP/1.1\r\n";
         let pad = MAX_HEAD - line.len() - "X-Pad: \r\n\r\n".len();
         let exact = format!("{line}X-Pad: {}\r\n\r\n", "a".repeat(pad));
-        assert_eq!(request_roundtrip(&exact).unwrap().path, "/");
+        assert_eq!(request_roundtrip(exact).unwrap().path, "/");
     }
 }

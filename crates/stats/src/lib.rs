@@ -3,9 +3,10 @@
 //! The experiment harness of this reproduction repeatedly runs randomized
 //! protocol executions and needs to summarize the resulting samples:
 //! means, dispersion, quantiles, confidence intervals for "with high
-//! probability" claims, least-squares fits of measured running times against
-//! the paper's asymptotic bound expressions, and simple histogram/table
-//! rendering for the regenerated figures.
+//! probability" claims, the sequential-stopping tests of adaptive sweeps,
+//! through-origin fits of measured running times against the paper's
+//! asymptotic bound expressions, and table rendering for the regenerated
+//! figures.
 //!
 //! Everything here is plain, dependency-light numerical code operating on
 //! `f64` slices; the heavier domain logic lives in the other crates.
@@ -27,20 +28,14 @@
 
 pub mod confidence;
 pub mod descriptive;
-pub mod histogram;
 pub mod quantile;
 pub mod regression;
 pub mod sequential;
-pub mod splitting;
 pub mod table;
 
 pub use confidence::{proportion_ci, CiUndefined, ConfidenceInterval};
 pub use descriptive::{OnlineStats, Summary};
-pub use histogram::{Histogram, HistogramBin};
 pub use quantile::{median, quantile, quantiles};
-pub use regression::{fit_through_origin, linear_fit, LinearFit, OriginFit};
+pub use regression::{fit_through_origin, OriginFit};
 pub use sequential::{dominated, wilson_ci};
-pub use splitting::{
-    splitting_estimate, LevelReport, SplitPath, SplittingConfig, SplittingEstimate,
-};
 pub use table::{Align, Table};

@@ -11,8 +11,9 @@
 //! ```
 
 use wireless_sync::prelude::*;
+use wireless_sync::sync::sweep::SweepError;
 
-fn main() -> std::result::Result<(), SpecError> {
+fn main() -> std::result::Result<(), SweepError> {
     let num_devices = 8;
     let num_frequencies = 16;
     let worst_case_t = 8;
@@ -32,19 +33,22 @@ fn main() -> std::result::Result<(), SpecError> {
     let base = ScenarioSpec::new("good-samaritan", num_devices, num_frequencies, worst_case_t)
         .with_adversary(ComponentSpec::named("oblivious-random").with("t_actual", 1u64))
         .with_activation(ActivationSchedule::Simultaneous);
-    let sweep = SweepSpec::new(base, 0..seeds_per_point).with_axis(
+    let gs_sweep = SweepSpec::new(base, 0..seeds_per_point).with_axis(
         "adversary.t_actual",
         vec![1u64.into(), 2u64.into(), 4u64.into(), 8u64.into()],
     );
+    // The identical grid, run with the worst-case protocol.
+    let mut td_sweep = gs_sweep.clone();
+    td_sweep.base.protocol = ComponentSpec::named("trapdoor");
 
-    let runner = BatchRunner::new();
-    for (label, gs_sim) in Sim::from_sweep(&sweep)? {
-        // The identical sweep point, run with the worst-case protocol.
-        let td_sim = Sim::from_scenario(gs_sim.scenario(), "trapdoor")?.seeds(0..seeds_per_point);
-
-        let gs_mean = gs_sim.run_stats(&runner).completion_rounds.mean;
-        let td_mean = td_sim.run_stats(&runner).completion_rounds.mean;
-        let t_actual = label.strip_prefix("adversary.t_actual=").unwrap_or(&label);
+    let runner = SweepRunner::new();
+    let gs = runner.run(&gs_sweep)?;
+    let td = runner.run(&td_sweep)?;
+    for (gs_point, td_point) in gs.points.iter().zip(&td.points) {
+        let gs_mean = gs_point.stats.completion_rounds.mean;
+        let td_mean = td_point.stats.completion_rounds.mean;
+        let label = &gs_point.label;
+        let t_actual = label.strip_prefix("adversary.t_actual=").unwrap_or(label);
         println!(
             "{:>4}  {:>22.1}  {:>18.1}  {:>10}",
             t_actual,

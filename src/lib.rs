@@ -16,7 +16,7 @@
 //! | [`radio`] | `wsync-radio` | the disrupted radio network model: engine, adversaries, activation schedules |
 //! | [`sync`] | `wsync-core` | the wireless synchronization problem, the Trapdoor and Good Samaritan protocols, baselines, property checker |
 //! | [`analysis`] | `wsync-analysis` | lower-bound formulas, the balls-in-bins process, the two-node rendezvous game |
-//! | [`stats`] | `wsync-stats` | descriptive statistics, confidence intervals, least-squares fits |
+//! | [`stats`] | `wsync-stats` | descriptive statistics, quantiles, confidence intervals, sequential-stopping helpers, through-origin fits, tables |
 //! | [`experiments`] | `wsync-experiments` | scenario sweeps and the generators for every table/figure in EXPERIMENTS.md |
 //!
 //! # Quickstart

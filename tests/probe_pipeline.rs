@@ -238,32 +238,53 @@ fn run_probed_carries_outputs_and_cache_hits_skip_probes() {
     let sim = Sim::from_spec(&probed_spec).unwrap();
     let probed = sim.run_probed(5);
     assert_eq!(probed.outcome, baseline);
-    let outputs = probed.probes.expect("fresh runs produce probe outputs");
+    let outputs = probed.probes;
     assert_eq!(outputs.len(), 2);
     assert_eq!(outputs[0].name, "checker");
     assert_eq!(outputs[1].name, "metrics");
 
-    // Store-backed: the outcome-only run records the trial; the probed
-    // Sim's cache hit serves it without executing (probes: None).
+    // Store-backed: an outcome-only sweep records seed 5; the probed
+    // sweep's cache hit serves it without executing (probes: None).
     let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let recorder = Sim::from_spec(&plain_spec).unwrap().store(&store);
-    assert_eq!(recorder.run_one(5), baseline);
-    let probed_sim = Sim::from_spec(&probed_spec).unwrap().store(&store);
+    let mut recorded = Vec::new();
+    SweepRunner::new()
+        .record_only(Arc::clone(&store))
+        .run_points_each(
+            vec![(String::new(), plain_spec.clone())],
+            5..6,
+            |_, outcome| recorded.push(outcome.clone()),
+        )
+        .unwrap();
+    assert_eq!(recorded, vec![baseline.clone()]);
+    let digest = spec_digest(&probed_spec);
     assert_eq!(
-        probed_sim.digest(),
-        recorder.digest(),
-        "probed and outcome-only sims share the content digest"
+        digest,
+        spec_digest(&plain_spec),
+        "probed and outcome-only specs share the content digest"
     );
-    let hit = probed_sim.run_probed(5);
-    assert_eq!(hit.outcome, baseline);
-    assert!(
-        hit.probes.is_none(),
-        "cache hits skip the engine and probes"
+    let mut seen: Vec<(u64, Option<usize>)> = Vec::new();
+    let report = SweepRunner::new()
+        .store(Arc::clone(&store))
+        .run_points_with(
+            vec![(String::new(), probed_spec)],
+            5..7,
+            None,
+            |_, outcome, outputs| {
+                if outcome.seed == 5 {
+                    assert_eq!(*outcome, baseline);
+                }
+                seen.push((outcome.seed, outputs.map(<[ProbeOutput]>::len)));
+            },
+        )
+        .unwrap();
+    assert_eq!(
+        seen,
+        vec![(5, None), (6, Some(2))],
+        "cache hits skip the engine and probes; the uncached seed is probed"
     );
-    // A seed that is not cached executes, probes and persists.
-    let miss = probed_sim.run_probed(6);
-    assert!(miss.probes.is_some());
-    assert!(store.contains(probed_sim.digest(), 6));
+    assert_eq!((report.cached_trials(), report.executed_trials()), (1, 1));
+    // The seed that was not cached executed and persisted.
+    assert!(store.contains(digest, 6));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -328,10 +349,11 @@ fn first_only_probing_samples_one_seed_per_point() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ResultStore::open(&dir).unwrap());
-    for (_, spec) in &points {
-        let sim = Sim::from_spec(spec).unwrap().store(&store);
-        sim.run_one(2); // pre-cache seed 2 for both points
-    }
+    // pre-cache seed 2 for both points
+    SweepRunner::new()
+        .record_only(Arc::clone(&store))
+        .run_points(points.clone(), 2..3)
+        .unwrap();
     let store = Arc::new(ResultStore::open(&dir).unwrap());
     let mut probed_seeds: Vec<(usize, u64)> = Vec::new();
     SweepRunner::new()

@@ -84,8 +84,12 @@ fn checked_in_example_specs_parse_and_round_trip() {
             wireless_sync::experiments::SpecFile::Sweep(sweep) => {
                 let back = SweepSpec::from_json(&sweep.to_json()).unwrap();
                 assert_eq!(back, sweep, "{path} round trip");
-                let sims = Sim::from_sweep(&sweep).unwrap_or_else(|e| panic!("{path}: {e}"));
-                assert!(!sims.is_empty());
+                sweep.seeds().unwrap_or_else(|e| panic!("{path}: {e}"));
+                let points = sweep.expand().unwrap_or_else(|e| panic!("{path}: {e}"));
+                assert!(!points.is_empty());
+                for point in &points {
+                    Sim::from_spec(&point.spec).unwrap_or_else(|e| panic!("{path}: {e}"));
+                }
             }
         }
     }
@@ -117,10 +121,12 @@ fn sweep_spec_grid_runs_match_individual_spec_runs() {
     let base = ScenarioSpec::new("trapdoor", 8, 8, 1).with_adversary("random");
     let sweep = SweepSpec::new(base.clone(), 0..3)
         .with_axis("disruption_bound", vec![1u64.into(), 3u64.into()]);
-    let sims = Sim::from_sweep(&sweep).unwrap();
-    assert_eq!(sims.len(), 2);
-    for (label, sim) in &sims {
-        let t: u32 = label
+    let points = sweep.expand().unwrap();
+    assert_eq!(points.len(), 2);
+    for point in &points {
+        let sim = Sim::from_spec(&point.spec).unwrap();
+        let t: u32 = point
+            .label
             .strip_prefix("disruption_bound=")
             .unwrap()
             .parse()
@@ -130,6 +136,9 @@ fn sweep_spec_grid_runs_match_individual_spec_runs() {
         let expected: Vec<SyncOutcome> = (0..3)
             .map(|seed| Sim::from_spec(&manual).unwrap().run_one(seed))
             .collect();
-        assert_eq!(sim.run(&BatchRunner::serial()), expected);
+        assert_eq!(
+            BatchRunner::serial().map(0..3, |seed| sim.run_one(seed)),
+            expected
+        );
     }
 }

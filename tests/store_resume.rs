@@ -246,28 +246,3 @@ fn two_concurrent_store_instances_append_a_clean_union() {
 
     let _ = fs::remove_dir_all(&dir);
 }
-
-/// `Sim::store` on its own (without the sweep layer) also skips the engine
-/// on cache hits — the store is one substrate shared by both entry points.
-#[test]
-fn sim_level_store_shares_the_same_cache_substrate() {
-    let dir = temp_dir("sim-level");
-    let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
-
-    let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let sim = Sim::from_spec(&spec).unwrap().store(&store);
-    let outcomes = sim.seeds(0..4).run(&BatchRunner::with_workers(2));
-    assert_eq!(store.len(), 4);
-
-    // A SweepRunner over the same spec reuses the Sim-recorded trials.
-    let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let report = SweepRunner::new()
-        .store(store)
-        .run_points(vec![(String::new(), spec)], 0..4)
-        .unwrap();
-    assert_eq!(report.executed_trials(), 0);
-    assert_eq!(report.cached_trials(), 4);
-    assert_eq!(report.points[0].stats, BatchStats::aggregate(&outcomes));
-
-    let _ = fs::remove_dir_all(&dir);
-}

@@ -38,7 +38,7 @@ fn bench_frequency_limit(c: &mut Criterion) {
     group.sample_size(10);
     let base = ScenarioSpec::new("trapdoor", 24, 32, 4).with_adversary("random");
     let paper_limit =
-        wsync_core::trapdoor::TrapdoorConfig::new(base.scenario().upper_bound(), 32, 4).f_prime();
+        wsync_core::trapdoor::TrapdoorConfig::new(base.upper_bound(), 32, 4).f_prime();
     for (name, limit) in [("paper_f_prime", paper_limit), ("full_band", 32)] {
         let spec = base
             .clone()

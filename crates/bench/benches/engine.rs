@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wsync_core::checker::PropertyChecker;
 use wsync_core::registry;
-use wsync_core::runner::Scenario;
+use wsync_core::spec::ScenarioSpec;
 use wsync_core::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 use wsync_radio::engine::Engine;
 use wsync_radio::metrics::SimMetrics;
@@ -24,7 +24,7 @@ fn bench_engine_rounds(c: &mut Criterion) {
     const ROUNDS: u64 = 2_000;
     group.throughput(Throughput::Elements(ROUNDS));
     for n in [16usize, 64, 256] {
-        let scenario = Scenario::new(n, 16, 6).with_adversary("random");
+        let scenario = ScenarioSpec::new("trapdoor", n, 16, 6).with_adversary("random");
         let config = TrapdoorConfig::new(scenario.upper_bound(), 16, 6);
         group.bench_with_input(BenchmarkId::from_parameter(n), &scenario, |b, s| {
             let mut seed = 0u64;
@@ -68,7 +68,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         for f in [8u32, 32] {
             let t = f / 4;
-            let scenario = Scenario::new(n, f, t).with_adversary("random");
+            let scenario = ScenarioSpec::new("trapdoor", n, f, t).with_adversary("random");
             let config = TrapdoorConfig::new(scenario.upper_bound(), f, t);
             let id = BenchmarkId::new(format!("N{n}"), format!("F{f}"));
             group.bench_with_input(id, &scenario, |b, s| {
@@ -114,7 +114,7 @@ fn bench_large_n_scaling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROUNDS));
     group.sample_size(10);
     for n in [4_096usize, 65_536, 1_000_000] {
-        let scenario = Scenario::new(n, 32, 8)
+        let scenario = ScenarioSpec::new("trapdoor", n, 32, 8)
             .with_adversary("random")
             .with_activation(ActivationSchedule::Staggered { gap: 1 });
         let trapdoor = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
@@ -176,7 +176,7 @@ fn bench_million_node_full_run(c: &mut Criterion) {
     const ROUNDS: u64 = 2_000;
     group.throughput(Throughput::Elements(ROUNDS));
     group.sample_size(10);
-    let scenario = Scenario::new(1_000_000, 32, 8)
+    let scenario = ScenarioSpec::new("trapdoor", 1_000_000, 32, 8)
         .with_adversary("random")
         .with_activation(ActivationSchedule::Staggered { gap: 1 });
     let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
@@ -225,10 +225,13 @@ fn bench_observation_overhead(c: &mut Criterion) {
     const ROUNDS: u64 = 2_000;
     group.throughput(Throughput::Elements(ROUNDS));
     let workloads = [
-        (None, Scenario::new(256, 32, 8).with_adversary("random")),
+        (
+            None,
+            ScenarioSpec::new("trapdoor", 256, 32, 8).with_adversary("random"),
+        ),
         (
             Some("N65536-staggered"),
-            Scenario::new(65_536, 32, 8)
+            ScenarioSpec::new("trapdoor", 65_536, 32, 8)
                 .with_adversary("random")
                 .with_activation(ActivationSchedule::Staggered { gap: 1 }),
         ),
@@ -282,7 +285,7 @@ fn bench_fault_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_fault_overhead");
     const ROUNDS: u64 = 2_000;
     group.throughput(Throughput::Elements(ROUNDS));
-    let scenario = Scenario::new(256, 32, 8).with_adversary("random");
+    let scenario = ScenarioSpec::new("trapdoor", 256, 32, 8).with_adversary("random");
     let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
     type StackBuilder = fn(usize) -> Vec<Box<dyn FaultLayer>>;
     let stacks: [(&str, StackBuilder); 3] = [

@@ -1,5 +1,24 @@
-//! Online checker for the five requirements of the wireless synchronization
-//! problem.
+//! The wireless synchronization problem (Section 3) and an online checker
+//! for its five requirements.
+//!
+//! Wireless synchronization is achieved when the activated nodes share a
+//! consistent round numbering scheme. In every round each activated node
+//! outputs a value in `ℕ ∪ {⊥}` (`⊥` meaning "not yet determined"; in this
+//! workspace `Option<u64>`, `None` being `⊥`), subject to:
+//!
+//! 1. **Validity** — every output is in `ℕ ∪ {⊥}`;
+//! 2. **Synch commit** — once a node outputs a number it never outputs `⊥`
+//!    again;
+//! 3. **Correctness** — a node outputting `i` in round `r` outputs `i + 1`
+//!    in round `r + 1`;
+//! 4. **Agreement** — in every round all non-`⊥` outputs are equal (with
+//!    high probability);
+//! 5. **Liveness** — eventually every active node stops outputting `⊥`
+//!    (with probability 1).
+//!
+//! An algorithm *solves the problem in time `T`* iff liveness is achieved
+//! by round `T` with high probability. The instance parameters `(N, F, t)`
+//! are fields of [`ScenarioSpec`](crate::spec::ScenarioSpec).
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
 //! [`Probe`] hook and verifies, round by round:

@@ -22,7 +22,6 @@
 //! DESIGN.md §5 for the full discussion.
 
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-use crate::problem::ProblemInstance;
 
 /// Where a local round falls within the Good Samaritan schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,15 +85,6 @@ impl GoodSamaritanConfig {
             fallback_multiplier: 4.0,
             leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Creates a configuration from a [`ProblemInstance`].
-    pub fn from_instance(instance: ProblemInstance) -> Self {
-        GoodSamaritanConfig::new(
-            instance.upper_bound_n,
-            instance.num_frequencies,
-            instance.disruption_bound,
-        )
     }
 
     /// Overrides the epoch-length constant `c`.
@@ -224,6 +214,20 @@ impl GoodSamaritanConfig {
         }
     }
 
+    /// The whole schedule's length in rounds — the optimistic portion plus
+    /// the fallback — or `None` when it is longer than `u64::MAX` rounds.
+    /// The registry factory rejects constants for which this is `None`, so
+    /// the unchecked totals above never overflow on a validated config.
+    pub fn checked_schedule_rounds(&self) -> Option<u64> {
+        let epochs = u64::from(self.epochs_per_super_epoch());
+        let optimistic = (1..=self.lg_f()).try_fold(0u64, |total, k| {
+            total.checked_add(epochs.checked_mul(self.epoch_length(k))?)
+        })?;
+        u64::from(self.fallback_epochs())
+            .checked_mul(self.fallback_epoch_length())?
+            .checked_add(optimistic)
+    }
+
     /// Round (local, 0-based) at which the optimistic portion ends and the
     /// fallback begins.
     pub fn fallback_start(&self) -> u64 {
@@ -276,18 +280,6 @@ impl GoodSamaritanConfig {
                 prefix_part + 0.5 * special[i]
             })
             .collect()
-    }
-
-    /// The optimistic bound of Theorem 18, `t′·log³N`, without constants.
-    pub fn theorem18_optimistic_bound(&self, t_actual: u32) -> f64 {
-        let lg_n = f64::from(self.lg_n());
-        f64::from(t_actual.max(1)) * lg_n * lg_n * lg_n
-    }
-
-    /// The fallback bound of Theorem 18, `F·log³N`, without constants.
-    pub fn theorem18_fallback_bound(&self) -> f64 {
-        let lg_n = f64::from(self.lg_n());
-        f64::from(self.num_frequencies) * lg_n * lg_n * lg_n
     }
 }
 
@@ -434,13 +426,6 @@ mod tests {
         assert!((dist[0] - (1.0 / 8.0 + 1.0 / (2.0 * f))).abs() < 1e-12);
         // f > 2^k: 1/(2F)
         assert!((dist[10] - 1.0 / (2.0 * f)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theorem18_bounds_shape() {
-        let c = config();
-        assert!(c.theorem18_optimistic_bound(2) < c.theorem18_optimistic_bound(8));
-        assert!(c.theorem18_fallback_bound() >= c.theorem18_optimistic_bound(c.disruption_bound));
     }
 
     #[test]

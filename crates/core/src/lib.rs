@@ -4,11 +4,10 @@
 //! Dolev, Gilbert, Guerraoui, Kuhn, Newport,
 //! "The Wireless Synchronization Problem" (PODC 2009):
 //!
-//! * [`problem`] — the problem definition: every activated node outputs a
-//!   value in `ℕ ∪ {⊥}` subject to *validity*, *synch commit*,
-//!   *correctness*, *agreement* and *liveness* (Section 3).
-//! * [`checker`] — an online checker verifying those five requirements over
-//!   a simulated execution.
+//! * [`checker`] — the problem definition (Section 3: every activated node
+//!   outputs a value in `ℕ ∪ {⊥}` subject to *validity*, *synch commit*,
+//!   *correctness*, *agreement* and *liveness*) and an online checker
+//!   verifying those five requirements over a simulated execution.
 //! * [`trapdoor`] — the Trapdoor Protocol (Section 6): a leader-based
 //!   solution running in `O(F/(F−t)·log²N + F·t/(F−t)·log N)` rounds w.h.p.
 //! * [`good_samaritan`] — the Good Samaritan Protocol (Section 7): an
@@ -18,19 +17,20 @@
 //!   points (a multi-frequency wake-up-style protocol, a deterministic
 //!   round-robin hopper, and a single-frequency variant of the Trapdoor
 //!   Protocol).
-//! * [`runner`] / [`report`] — convenience helpers that wire a protocol,
-//!   an adversary and an activation schedule into the `wsync-radio` engine
-//!   and summarize the outcome (rounds to synchronization, leader count,
-//!   property violations).
+//! * [`report`] — the [`SyncOutcome`] of one trial (rounds to
+//!   synchronization, leader count, property violations).
 //! * [`batch`] — the [`BatchRunner`]: deterministic
 //!   parallel execution of independent Monte-Carlo trials across a worker
 //!   pool, with seed-ordered results and shared aggregation folds.
 //! * [`registry`] / [`spec`] / [`sim`] — the open, declarative simulation
-//!   API: string-keyed protocol/adversary/probe factories,
-//!   JSON-serializable [`ScenarioSpec`]/[`SweepSpec`] descriptions
-//!   (including the `"probes"` observation stack), and the validated
-//!   [`Sim`] builder every trial flows through (one trial per call; it
-//!   neither batches nor caches).
+//!   API: string-keyed protocol/adversary/probe/fault factories (each
+//!   built from the [`ScenarioSpec`] it runs in), JSON-serializable
+//!   [`ScenarioSpec`]/[`SweepSpec`] descriptions (the only description of
+//!   a run: instance, adversary, activation schedule, probes and fault
+//!   layers), and the validated [`Sim`] builder every trial flows through
+//!   — it wires the spec into the `wsync-radio` engine, attaches the
+//!   property checker and counts leaders (one trial per call; it neither
+//!   batches nor caches).
 //! * [`store`] / [`sweep`] — the persistence and orchestration layer: a
 //!   content-addressed [`ResultStore`] of completed
 //!   trials (sharded JSONL, keyed by canonical spec digest + seed) and the
@@ -70,10 +70,8 @@ pub mod fabric;
 pub mod good_samaritan;
 pub mod json;
 pub mod params;
-pub mod problem;
 pub mod registry;
 pub mod report;
-pub mod runner;
 pub mod sim;
 pub mod spec;
 pub mod store;
@@ -91,10 +89,8 @@ pub mod prelude {
     pub use crate::fabric::{FabricConfig, FabricError, WorkerEvent, WorkerSummary};
     pub use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol, SamaritanRole};
     pub use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-    pub use crate::problem::{ProblemInstance, SyncOutput};
-    pub use crate::registry::{ProbeOutput, Registry, SimProbe};
+    pub use crate::registry::{ProbeOutput, Registry, SimProbe, SyncProtocol};
     pub use crate::report::SyncOutcome;
-    pub use crate::runner::{run_protocol, Scenario, SyncProtocol};
     pub use crate::sim::{ProbedOutcome, Sim};
     pub use crate::spec::{ComponentSpec, ScenarioSpec, SpecError, SweepSpec};
     pub use crate::store::ResultStore;

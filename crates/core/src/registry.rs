@@ -9,7 +9,7 @@
 //! Downstream crates extend the set at run time with
 //! [`register_protocol`] / [`register_adversary`] — no enum to edit, no
 //! crate to fork — and their components immediately work everywhere a
-//! name does: [`ScenarioSpec`](crate::spec::ScenarioSpec) files,
+//! name does: [`ScenarioSpec`] files,
 //! [`Sim::from_spec`](crate::sim::Sim::from_spec), sweeps, and the
 //! `run_experiments --spec` CLI.
 //!
@@ -48,8 +48,7 @@ use crate::baselines::{RoundRobinConfig, RoundRobinProtocol, WakeupConfig, Wakeu
 use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
 use crate::json::Value;
 use crate::report::SyncOutcome;
-use crate::runner::{BoxedAdversary, Scenario, SyncProtocol};
-use crate::spec::{ComponentSpec, ParamReader, Params, SpecError};
+use crate::spec::{ComponentSpec, ParamReader, Params, ScenarioSpec, SpecError};
 use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 
 /// A type-erased message payload.
@@ -89,6 +88,54 @@ impl DynMsg {
 impl fmt::Debug for DynMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("DynMsg").field(&self.type_name).finish()
+    }
+}
+
+/// Protocols that elect a leader while solving wireless synchronization.
+///
+/// Implemented by every protocol in this crate; [`Sim`](crate::sim::Sim)
+/// uses it to count leaders at the end of an execution (the paper's
+/// agreement argument rests on there being at most one).
+pub trait SyncProtocol: Protocol {
+    /// Whether this node currently considers itself the leader.
+    fn is_leader(&self) -> bool;
+    /// A short name for the protocol (used in experiment tables).
+    fn protocol_name(&self) -> &'static str;
+}
+
+impl SyncProtocol for TrapdoorProtocol {
+    fn is_leader(&self) -> bool {
+        TrapdoorProtocol::is_leader(self)
+    }
+    fn protocol_name(&self) -> &'static str {
+        "trapdoor"
+    }
+}
+
+impl SyncProtocol for GoodSamaritanProtocol {
+    fn is_leader(&self) -> bool {
+        GoodSamaritanProtocol::is_leader(self)
+    }
+    fn protocol_name(&self) -> &'static str {
+        "good-samaritan"
+    }
+}
+
+impl SyncProtocol for WakeupProtocol {
+    fn is_leader(&self) -> bool {
+        WakeupProtocol::is_leader(self)
+    }
+    fn protocol_name(&self) -> &'static str {
+        "wakeup"
+    }
+}
+
+impl SyncProtocol for RoundRobinProtocol {
+    fn is_leader(&self) -> bool {
+        RoundRobinProtocol::is_leader(self)
+    }
+    fn protocol_name(&self) -> &'static str {
+        "round-robin"
     }
 }
 
@@ -221,25 +268,25 @@ pub type ProtocolCtor = Box<dyn Fn(NodeId) -> BoxedProtocol + Send + Sync>;
 /// the constructor the engine calls once per node.
 pub trait ProtocolFactory: Send + Sync {
     /// Validates `params` and returns the per-node constructor.
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError>;
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError>;
 }
 
 /// Builds an adversary instance for a scenario from declarative parameters.
 pub trait AdversaryFactory: Send + Sync {
-    /// Validates `params` and builds the adversary for one `(scenario,
-    /// seed)` execution.
+    /// Validates `params` and builds the adversary for one `(spec, seed)`
+    /// execution.
     ///
     /// Validation must not depend on `seed`: whether this returns `Ok` may
-    /// vary only with `scenario` and `params`. [`Sim`](crate::sim::Sim)
+    /// vary only with `spec` and `params`. [`Sim`](crate::sim::Sim)
     /// probe-builds once (seed 0) at construction so that its per-trial
     /// `run_one` can stay infallible; a factory that rejected some seeds
     /// but not others would turn that contract into a mid-batch panic.
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
         seed: u64,
-    ) -> Result<BoxedAdversary, SpecError>;
+    ) -> Result<Box<dyn Adversary>, SpecError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,27 +297,21 @@ pub trait AdversaryFactory: Send + Sync {
 /// overrides plus the `TrapdoorConfig` knobs the ablations sweep.
 fn trapdoor_config_from(
     component: &str,
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     params: &Params,
     default_frequency_limit: Option<u32>,
 ) -> Result<TrapdoorConfig, SpecError> {
     let mut reader = ParamReader::new(component, params);
     let n = reader
         .opt_u64("upper_bound_n")?
-        .unwrap_or_else(|| scenario.upper_bound());
+        .unwrap_or_else(|| spec.upper_bound());
     let f = reader
         .opt_u32("num_frequencies")?
-        .unwrap_or(scenario.num_frequencies);
+        .unwrap_or(spec.num_frequencies);
     let t = reader
         .opt_u32("disruption_bound")?
-        .unwrap_or(scenario.disruption_bound);
+        .unwrap_or(spec.disruption_bound);
     let mut config = TrapdoorConfig::new(n, f, t);
-    if let Some(c) = reader.opt_f64("epoch_constant")? {
-        config = config.with_epoch_constant(c);
-    }
-    if let Some(c) = reader.opt_f64("final_epoch_constant")? {
-        config = config.with_final_epoch_constant(c);
-    }
     match reader.opt_u32("frequency_limit")? {
         Some(limit) => config = config.with_frequency_limit(limit),
         None => {
@@ -279,18 +320,58 @@ fn trapdoor_config_from(
             }
         }
     }
+    // The schedule checks run after every field that sets an epoch length.
+    if let Some(c) = reader.opt_f64("epoch_constant")? {
+        config = config.with_epoch_constant(c);
+        require_schedule_fits(
+            component,
+            "epoch_constant",
+            c,
+            config.checked_total_contention_rounds(),
+        )?;
+    }
+    if let Some(c) = reader.opt_f64("final_epoch_constant")? {
+        config = config.with_final_epoch_constant(c);
+        require_schedule_fits(
+            component,
+            "final_epoch_constant",
+            c,
+            config.checked_total_contention_rounds(),
+        )?;
+    }
     if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-        config.leader_broadcast_probability = p;
+        config.leader_broadcast_probability =
+            require_probability(component, "leader_broadcast_probability", Some(p))?;
     }
     reader.finish()?;
     Ok(config)
 }
 
+/// Rejects a protocol constant `value` of `param` whose schedule is longer
+/// than `u64::MAX` rounds (`total` is `None`): such a schedule can never
+/// finish, and its round arithmetic would overflow mid-run.
+fn require_schedule_fits(
+    component: &str,
+    param: &str,
+    value: f64,
+    total: Option<u64>,
+) -> Result<(), SpecError> {
+    match total {
+        Some(_) => Ok(()),
+        None => Err(SpecError::BadParam {
+            component: component.to_string(),
+            param: param.to_string(),
+            expected: "a constant whose schedule fits in u64 rounds",
+            found: format!("{value}"),
+        }),
+    }
+}
+
 struct TrapdoorFactory;
 
 impl ProtocolFactory for TrapdoorFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        let config = trapdoor_config_from("trapdoor", spec, params, None)?;
         Ok(Box::new(move |_| {
             BoxedProtocol::erase(TrapdoorProtocol::new(config))
         }))
@@ -300,8 +381,8 @@ impl ProtocolFactory for TrapdoorFactory {
 struct SingleFrequencyFactory;
 
 impl ProtocolFactory for SingleFrequencyFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        let config = trapdoor_config_from("single-frequency", spec, params, Some(1))?;
         Ok(Box::new(move |_| {
             BoxedProtocol::erase(TrapdoorProtocol::new(config))
         }))
@@ -311,8 +392,8 @@ impl ProtocolFactory for SingleFrequencyFactory {
 struct RoundRobinFactory;
 
 impl ProtocolFactory for RoundRobinFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        let trapdoor = trapdoor_config_from("round-robin", spec, params, None)?;
         let config = RoundRobinConfig { trapdoor };
         Ok(Box::new(move |_| {
             BoxedProtocol::erase(RoundRobinProtocol::new(config))
@@ -323,29 +404,43 @@ impl ProtocolFactory for RoundRobinFactory {
 struct GoodSamaritanFactory;
 
 impl ProtocolFactory for GoodSamaritanFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let mut reader = ParamReader::new("good-samaritan", params);
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        const COMPONENT: &str = "good-samaritan";
+        let mut reader = ParamReader::new(COMPONENT, params);
         let n = reader
             .opt_u64("upper_bound_n")?
-            .unwrap_or_else(|| scenario.upper_bound());
+            .unwrap_or_else(|| spec.upper_bound());
         let f = reader
             .opt_u32("num_frequencies")?
-            .unwrap_or(scenario.num_frequencies);
+            .unwrap_or(spec.num_frequencies);
         let t = reader
             .opt_u32("disruption_bound")?
-            .unwrap_or(scenario.disruption_bound);
+            .unwrap_or(spec.disruption_bound);
         let mut config = GoodSamaritanConfig::new(n, f, t);
         if let Some(c) = reader.opt_f64("epoch_constant")? {
             config = config.with_epoch_constant(c);
+            require_schedule_fits(
+                COMPONENT,
+                "epoch_constant",
+                c,
+                config.checked_schedule_rounds(),
+            )?;
         }
         if let Some(shift) = reader.opt_u32("threshold_shift")? {
             config = config.with_threshold_shift(shift);
         }
         if let Some(m) = reader.opt_f64("fallback_multiplier")? {
             config = config.with_fallback_multiplier(m);
+            require_schedule_fits(
+                COMPONENT,
+                "fallback_multiplier",
+                m,
+                config.checked_schedule_rounds(),
+            )?;
         }
         if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-            config.leader_broadcast_probability = p;
+            config.leader_broadcast_probability =
+                require_probability(COMPONENT, "leader_broadcast_probability", Some(p))?;
         }
         reader.finish()?;
         Ok(Box::new(move |_| {
@@ -357,23 +452,24 @@ impl ProtocolFactory for GoodSamaritanFactory {
 struct WakeupFactory;
 
 impl ProtocolFactory for WakeupFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
         let mut reader = ParamReader::new("wakeup", params);
         let n = reader
             .opt_u64("upper_bound_n")?
-            .unwrap_or_else(|| scenario.upper_bound());
+            .unwrap_or_else(|| spec.upper_bound());
         let f = reader
             .opt_u32("num_frequencies")?
-            .unwrap_or(scenario.num_frequencies);
+            .unwrap_or(spec.num_frequencies);
         let t = reader
             .opt_u32("disruption_bound")?
-            .unwrap_or(scenario.disruption_bound);
+            .unwrap_or(spec.disruption_bound);
         let mut config = WakeupConfig::new(n, f, t);
         if let Some(deadline) = reader.opt_u64("deadline_rounds")? {
             config = config.with_deadline(deadline);
         }
         if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-            config.leader_broadcast_probability = p;
+            config.leader_broadcast_probability =
+                require_probability("wakeup", "leader_broadcast_probability", Some(p))?;
         }
         reader.finish()?;
         Ok(Box::new(move |_| {
@@ -395,12 +491,12 @@ struct SimpleAdversaryFactory {
 impl AdversaryFactory for SimpleAdversaryFactory {
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
         _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
+    ) -> Result<Box<dyn Adversary>, SpecError> {
         ParamReader::new(self.name, params).finish()?;
-        Ok(BoxedAdversary::new((self.build)(scenario.disruption_bound)))
+        Ok((self.build)(spec.disruption_bound))
     }
 }
 
@@ -409,19 +505,19 @@ struct BurstyFactory;
 impl AdversaryFactory for BurstyFactory {
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
         _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
+    ) -> Result<Box<dyn Adversary>, SpecError> {
         let mut reader = ParamReader::new("bursty", params);
         let period = reader.req_u64("period")?;
         let burst_len = reader.req_u64("burst_len")?;
         reader.finish()?;
-        Ok(BoxedAdversary::new(Box::new(BurstyAdversary::new(
-            scenario.disruption_bound,
+        Ok(Box::new(BurstyAdversary::new(
+            spec.disruption_bound,
             period,
             burst_len,
-        ))))
+        )))
     }
 }
 
@@ -430,10 +526,10 @@ struct ObliviousRandomFactory;
 impl AdversaryFactory for ObliviousRandomFactory {
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
         seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
+    ) -> Result<Box<dyn Adversary>, SpecError> {
         let mut reader = ParamReader::new("oblivious-random", params);
         let t_actual = reader.req_u32("t_actual")?;
         reader.finish()?;
@@ -441,13 +537,11 @@ impl AdversaryFactory for ObliviousRandomFactory {
         // repeating too quickly. The seed tweak and length are part of the
         // reproducibility contract (pinned by tests/engine_golden.rs).
         let len = 8192usize;
-        Ok(BoxedAdversary::new(Box::new(
-            ObliviousScheduleAdversary::random(
-                seed ^ 0x0b11_0005,
-                len,
-                scenario.num_frequencies,
-                t_actual.min(scenario.disruption_bound),
-            ),
+        Ok(Box::new(ObliviousScheduleAdversary::random(
+            seed ^ 0x0b11_0005,
+            len,
+            spec.num_frequencies,
+            t_actual.min(spec.disruption_bound),
         )))
     }
 }
@@ -457,21 +551,20 @@ struct TopWeightFactory;
 impl AdversaryFactory for TopWeightFactory {
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
         _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
+    ) -> Result<Box<dyn Adversary>, SpecError> {
         let mut reader = ParamReader::new("top-weight", params);
         let weights = reader.opt_f64_list("weights")?;
         reader.finish()?;
         let adversary = match weights {
-            Some(weights) => TopWeightAdversary::new(scenario.disruption_bound, weights),
-            None => TopWeightAdversary::against_uniform(
-                scenario.disruption_bound,
-                scenario.num_frequencies,
-            ),
+            Some(weights) => TopWeightAdversary::new(spec.disruption_bound, weights),
+            None => {
+                TopWeightAdversary::against_uniform(spec.disruption_bound, spec.num_frequencies)
+            }
         };
-        Ok(BoxedAdversary::new(Box::new(adversary)))
+        Ok(Box::new(adversary))
     }
 }
 
@@ -508,7 +601,7 @@ pub trait SimProbe: Probe {
 /// trial runs.
 pub trait ProbeFactory: Send + Sync {
     /// Validates `params` and builds the probe for one execution.
-    fn build(&self, scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError>;
+    fn build(&self, spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError>;
 }
 
 /// The adapter that carries a registry-built probe through the engine's
@@ -588,7 +681,7 @@ impl SimProbe for MetricsProbe {
 struct MetricsProbeFactory;
 
 impl ProbeFactory for MetricsProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    fn build(&self, _spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
         ParamReader::new("metrics", params).finish()?;
         Ok(Box::new(MetricsProbe))
     }
@@ -632,7 +725,7 @@ impl SimProbe for CheckerProbe {
 struct CheckerProbeFactory;
 
 impl ProbeFactory for CheckerProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    fn build(&self, _spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
         ParamReader::new("checker", params).finish()?;
         Ok(Box::new(CheckerProbe))
     }
@@ -687,7 +780,7 @@ impl SimProbe for TraceProbe {
 struct TraceProbeFactory;
 
 impl ProbeFactory for TraceProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    fn build(&self, _spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
         let mut reader = ParamReader::new("trace", params);
         let max_rounds = reader.opt_u64("max_rounds")?;
         reader.finish()?;
@@ -714,7 +807,7 @@ impl ProbeFactory for TraceProbeFactory {
 /// is what keeps a layer's draws independent of every other stream.
 pub trait FaultFactory: Send + Sync {
     /// Validates `params` and builds the fault layer for one execution.
-    fn build(&self, scenario: &Scenario, params: &Params)
+    fn build(&self, spec: &ScenarioSpec, params: &Params)
         -> Result<Box<dyn FaultLayer>, SpecError>;
 }
 
@@ -739,7 +832,7 @@ struct DropFaultFactory;
 impl FaultFactory for DropFaultFactory {
     fn build(
         &self,
-        _scenario: &Scenario,
+        _spec: &ScenarioSpec,
         params: &Params,
     ) -> Result<Box<dyn FaultLayer>, SpecError> {
         let mut reader = ParamReader::new("drop", params);
@@ -760,7 +853,7 @@ struct CaptureFaultFactory;
 impl FaultFactory for CaptureFaultFactory {
     fn build(
         &self,
-        _scenario: &Scenario,
+        _spec: &ScenarioSpec,
         params: &Params,
     ) -> Result<Box<dyn FaultLayer>, SpecError> {
         let mut reader = ParamReader::new("capture", params);
@@ -781,7 +874,7 @@ impl FaultFactory for CaptureFaultFactory {
 struct PartitionFaultFactory;
 
 impl PartitionFaultFactory {
-    fn parse_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
+    fn parse_groups(spec: &ScenarioSpec, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
         let bad = |found: String| SpecError::BadParam {
             component: "partition".to_string(),
             param: "groups".to_string(),
@@ -792,7 +885,7 @@ impl PartitionFaultFactory {
             .as_array()
             .ok_or_else(|| bad(value.type_name().to_string()))?;
         let mut groups: Vec<Vec<u32>> = Vec::with_capacity(outer.len());
-        let mut seen = vec![false; scenario.num_nodes];
+        let mut seen = vec![false; spec.num_nodes];
         for item in outer {
             let members = item
                 .as_array()
@@ -803,10 +896,10 @@ impl PartitionFaultFactory {
                     .as_u64()
                     .and_then(|u| u32::try_from(u).ok())
                     .ok_or_else(|| bad(format!("group member {:?}", member)))?;
-                if index as usize >= scenario.num_nodes {
+                if index as usize >= spec.num_nodes {
                     return Err(bad(format!(
                         "node index {index} (the network has {} nodes)",
-                        scenario.num_nodes
+                        spec.num_nodes
                     )));
                 }
                 if seen[index as usize] {
@@ -824,18 +917,18 @@ impl PartitionFaultFactory {
 impl FaultFactory for PartitionFaultFactory {
     fn build(
         &self,
-        scenario: &Scenario,
+        spec: &ScenarioSpec,
         params: &Params,
     ) -> Result<Box<dyn FaultLayer>, SpecError> {
         let mut reader = ParamReader::new("partition", params);
         let groups = match reader.opt_value("groups") {
-            Some(value) => Self::parse_groups(scenario, value)?,
+            Some(value) => Self::parse_groups(spec, value)?,
             None => Vec::new(),
         };
         let heal_at = reader.opt_u64("heal_at")?;
         reader.finish()?;
         Ok(Box::new(PartitionLayer::new(
-            scenario.num_nodes,
+            spec.num_nodes,
             &groups,
             heal_at,
         )))
@@ -850,7 +943,7 @@ struct ChurnFaultFactory;
 impl FaultFactory for ChurnFaultFactory {
     fn build(
         &self,
-        _scenario: &Scenario,
+        _spec: &ScenarioSpec,
         params: &Params,
     ) -> Result<Box<dyn FaultLayer>, SpecError> {
         let mut reader = ParamReader::new("churn", params);
@@ -922,7 +1015,7 @@ impl SimProbe for FaultCountersProbe {
 struct FaultCountersProbeFactory;
 
 impl ProbeFactory for FaultCountersProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    fn build(&self, _spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
         ParamReader::new("fault-counters", params).finish()?;
         Ok(Box::new(FaultCountersProbe::default()))
     }
@@ -1214,9 +1307,9 @@ pub fn fault_names() -> Vec<String> {
 /// execution, resolving the name against the process-global registry.
 pub fn build_adversary(
     spec: &ComponentSpec,
-    scenario: &Scenario,
+    scenario: &ScenarioSpec,
     seed: u64,
-) -> Result<BoxedAdversary, SpecError> {
+) -> Result<Box<dyn Adversary>, SpecError> {
     resolve_adversary(spec.name())?.build(scenario, &spec.params, seed)
 }
 
@@ -1225,7 +1318,7 @@ pub fn build_adversary(
 /// engine pairs the layer with its private random stream on attachment.
 pub fn build_fault(
     spec: &ComponentSpec,
-    scenario: &Scenario,
+    scenario: &ScenarioSpec,
 ) -> Result<Box<dyn FaultLayer>, SpecError> {
     resolve_fault(spec.name())?.build(scenario, &spec.params)
 }
@@ -1239,7 +1332,7 @@ mod tests {
     #[test]
     fn default_registry_resolves_every_builtin() {
         let registry = Registry::with_defaults();
-        let scenario = Scenario::new(4, 8, 2);
+        let scenario = ScenarioSpec::new("trapdoor", 4, 8, 2);
         for name in registry.protocol_names() {
             let factory = registry.protocol(&name).unwrap();
             let ctor = factory
@@ -1302,7 +1395,7 @@ mod tests {
     #[test]
     fn factories_validate_their_parameters() {
         let registry = Registry::with_defaults();
-        let scenario = Scenario::new(4, 8, 2);
+        let scenario = ScenarioSpec::new("trapdoor", 4, 8, 2);
         // typo in a protocol parameter
         let err = registry
             .protocol("trapdoor")
@@ -1316,7 +1409,8 @@ mod tests {
             .adversary("oblivious-random")
             .unwrap()
             .build(&scenario, &Params::new(), 0)
-            .expect_err("missing t_actual must be rejected");
+            .err()
+            .expect("missing t_actual must be rejected");
         assert!(matches!(err, SpecError::MissingParam { .. }), "{err}");
         // wrong type
         let err = registry
@@ -1327,7 +1421,8 @@ mod tests {
                 &Params::new().with("period", "ten").with("burst_len", 2u64),
                 0,
             )
-            .expect_err("mistyped period must be rejected");
+            .err()
+            .expect("mistyped period must be rejected");
         assert!(matches!(err, SpecError::BadParam { .. }), "{err}");
     }
 
@@ -1337,24 +1432,33 @@ mod tests {
         impl AdversaryFactory for EchoFactory {
             fn build(
                 &self,
-                _scenario: &Scenario,
+                _spec: &ScenarioSpec,
                 params: &Params,
                 _seed: u64,
-            ) -> Result<BoxedAdversary, SpecError> {
+            ) -> Result<Box<dyn Adversary>, SpecError> {
                 ParamReader::new("test-echo", params).finish()?;
-                Ok(BoxedAdversary::new(Box::new(NoAdversary::new())))
+                Ok(Box::new(NoAdversary::new()))
             }
         }
         register_adversary("test-echo", Arc::new(EchoFactory));
         assert!(adversary_names().contains(&"test-echo".to_string()));
         let spec = ComponentSpec::named("test-echo");
-        let scenario = Scenario::new(2, 4, 1);
+        let scenario = ScenarioSpec::new("trapdoor", 2, 4, 1);
         assert!(build_adversary(&spec, &scenario, 0).is_ok());
     }
 
     #[test]
+    fn single_frequency_baseline_uses_one_frequency() {
+        let spec = ScenarioSpec::new("single-frequency", 64, 8, 3);
+        let config =
+            trapdoor_config_from("single-frequency", &spec, &Params::new(), Some(1)).unwrap();
+        assert_eq!(config.f_prime(), 1);
+        assert_eq!(config.num_frequencies, 8);
+    }
+
+    #[test]
     fn trapdoor_params_mirror_the_config_builders() {
-        let scenario = Scenario::new(8, 16, 4);
+        let scenario = ScenarioSpec::new("trapdoor", 8, 16, 4);
         let params = Params::new()
             .with("epoch_constant", 1.5)
             .with("final_epoch_constant", 3.0)

@@ -2,8 +2,8 @@
 //!
 //! [`Sim`] is the single code path every execution in the workspace goes
 //! through. Build one from a declarative [`ScenarioSpec`] (possibly loaded
-//! from JSON) or from an existing runtime [`Scenario`] plus a protocol
-//! name, then run one trial per seed:
+//! from JSON or put together with its builder methods), then run one trial
+//! per seed:
 //!
 //! ```
 //! use wsync_core::sim::Sim;
@@ -28,12 +28,15 @@
 
 use std::sync::Arc;
 
+use wsync_radio::engine::Engine;
+
+use crate::checker::PropertyChecker;
 use crate::registry::{
     self, AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, RegistryProbe,
+    SyncProtocol,
 };
 use crate::report::SyncOutcome;
-use crate::runner::{execute_probed, Scenario};
-use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
+use crate::spec::{ScenarioSpec, SpecError};
 use crate::store::spec_digest;
 
 /// One trial's outcome together with the outputs of the spec's declared
@@ -47,15 +50,17 @@ pub struct ProbedOutcome {
     pub probes: Vec<ProbeOutput>,
 }
 
-/// A fully validated, runnable simulation: scenario, resolved protocol
+/// A fully validated, runnable simulation: the spec, resolved protocol
 /// constructor, resolved adversary factory, resolved probe and fault
 /// factories, and the canonical spec digest.
 pub struct Sim {
-    scenario: Scenario,
+    spec: ScenarioSpec,
     ctor: ProtocolCtor,
     adversary: Arc<dyn AdversaryFactory>,
-    probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
-    faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
+    /// One resolved factory per entry of `spec.probes`, in order.
+    probes: Vec<Arc<dyn ProbeFactory>>,
+    /// One resolved factory per entry of `spec.faults`, in order.
+    faults: Vec<Arc<dyn FaultFactory>>,
     digest: u64,
 }
 
@@ -71,49 +76,38 @@ impl Sim {
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
         let protocol = registry::resolve_protocol(spec.protocol.name())?;
         let adversary = registry::resolve_adversary(spec.adversary.name())?;
-        let probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)> = spec
+        let probes: Vec<Arc<dyn ProbeFactory>> = spec
             .probes
             .iter()
-            .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
+            .map(|probe| registry::resolve_probe(probe.name()))
             .collect::<Result<_, SpecError>>()?;
-        let faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)> = spec
+        let faults: Vec<Arc<dyn FaultFactory>> = spec
             .faults
             .iter()
-            .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
+            .map(|fault| registry::resolve_fault(fault.name()))
             .collect::<Result<_, SpecError>>()?;
         spec.validate()?;
-        let scenario = spec.scenario();
-        let ctor = protocol.instantiate(&scenario, &spec.protocol.params)?;
+        let ctor = protocol.instantiate(spec, &spec.protocol.params)?;
         // Probe-build the adversary, the probes, and the fault layers once
         // so parameter errors surface here, keeping `run_one`/`run_probed`
         // infallible. AdversaryFactory's contract requires validation to be
         // seed-independent, so one probe covers all seeds; probe and fault
         // factories take no seed at all.
-        adversary.build(&scenario, &spec.adversary.params, 0)?;
-        for (component, factory) in &probes {
-            factory.build(&scenario, &component.params)?;
+        adversary.build(spec, &spec.adversary.params, 0)?;
+        for (component, factory) in spec.probes.iter().zip(&probes) {
+            factory.build(spec, &component.params)?;
         }
-        for (component, factory) in &faults {
-            factory.build(&scenario, &component.params)?;
+        for (component, factory) in spec.faults.iter().zip(&faults) {
+            factory.build(spec, &component.params)?;
         }
         Ok(Sim {
-            scenario,
+            spec: spec.clone(),
             ctor,
             adversary,
             probes,
             faults,
             digest: spec_digest(spec),
         })
-    }
-
-    /// Builds a simulation from a runtime [`Scenario`] plus a protocol
-    /// (name or name-plus-params), resolving against the process-global
-    /// registry.
-    pub fn from_scenario(
-        scenario: &Scenario,
-        protocol: impl Into<ComponentSpec>,
-    ) -> Result<Self, SpecError> {
-        Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
     }
 
     /// The canonical content digest of this simulation's resolved spec —
@@ -142,45 +136,73 @@ impl Sim {
     }
 
     /// The one trial path behind [`run_one`](Self::run_one) and
-    /// [`run_probed`](Self::run_probed): adversary, fault layer (and
-    /// optionally probe) construction, then execution.
+    /// [`run_probed`](Self::run_probed): builds the adversary, the fault
+    /// layers and (optionally) the declared probes, attaches them with the
+    /// [`PropertyChecker`] to the engine, executes, and counts leaders.
+    ///
+    /// Probes finalize against the finished outcome, so the one checker
+    /// attached here serves them too. Probes only observe, so the outcome
+    /// is bit-identical with and without them (`tests/engine_golden.rs`
+    /// pins this).
     fn execute(&self, seed: u64, probed: bool) -> (SyncOutcome, Vec<ProbeOutput>) {
+        let spec = &self.spec;
         let adversary = self
             .adversary
-            .build(&self.scenario, &self.scenario.adversary.params, seed)
+            .build(spec, &spec.adversary.params, seed)
             .expect("adversary parameters were validated when the Sim was built");
-        let probes: Vec<RegistryProbe> = if probed {
-            self.probes
+        let mut engine = Engine::new(
+            spec.sim_config(),
+            |id| (self.ctor)(id),
+            adversary,
+            spec.activation.clone(),
+            seed,
+        )
+        .expect("the spec was validated when the Sim was built");
+        for (component, factory) in spec.faults.iter().zip(&self.faults) {
+            engine.attach_fault(
+                factory
+                    .build(spec, &component.params)
+                    .expect("fault parameters were validated when the Sim was built"),
+            );
+        }
+        let checker_slot = engine.attach_probe(Box::new(PropertyChecker::new()));
+        let probe_slots: Vec<usize> = if probed {
+            spec.probes
                 .iter()
+                .zip(&self.probes)
                 .map(|(component, factory)| {
-                    RegistryProbe::new(
-                        component.name(),
-                        factory
-                            .build(&self.scenario, &component.params)
-                            .expect("probe parameters were validated when the Sim was built"),
-                    )
+                    let probe = factory
+                        .build(spec, &component.params)
+                        .expect("probe parameters were validated when the Sim was built");
+                    engine.attach_probe(Box::new(RegistryProbe::new(component.name(), probe)))
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        let faults: Vec<_> = self
-            .faults
-            .iter()
-            .map(|(component, factory)| {
-                factory
-                    .build(&self.scenario, &component.params)
-                    .expect("fault parameters were validated when the Sim was built")
+        let result = engine.run();
+        let mut stack = engine.take_probes();
+        let checker: PropertyChecker = stack
+            .take(checker_slot)
+            .expect("the checker probe is recoverable from its slot");
+        let leaders = engine.protocols().iter().filter(|p| p.is_leader()).count();
+        let outcome = SyncOutcome {
+            properties: checker.finish(&result),
+            result,
+            leaders,
+            adversary: spec.adversary.name().to_string(),
+            seed,
+        };
+        let outputs = probe_slots
+            .into_iter()
+            .map(|slot| {
+                stack
+                    .take::<RegistryProbe>(slot)
+                    .expect("registry probes are recoverable from their slots")
+                    .finish(&outcome)
             })
             .collect();
-        execute_probed(
-            &self.scenario,
-            |id| (self.ctor)(id),
-            adversary,
-            seed,
-            probes,
-            faults,
-        )
+        (outcome, outputs)
     }
 
     /// Whether the spec declares any probes.
@@ -194,6 +216,58 @@ mod tests {
     use super::*;
     use crate::batch::{BatchRunner, BatchStats};
     use crate::spec::SweepSpec;
+    use wsync_radio::activation::ActivationSchedule;
+
+    fn run_named(spec: &ScenarioSpec, seed: u64) -> SyncOutcome {
+        Sim::from_spec(spec).unwrap().run_one(seed)
+    }
+
+    #[test]
+    fn trapdoor_small_scenario_synchronizes_cleanly() {
+        let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
+        let outcome = run_named(&spec, 11);
+        assert!(outcome.result.all_synchronized);
+        assert_eq!(outcome.leaders, 1);
+        assert!(outcome.properties.all_hold());
+        assert!(outcome.is_clean());
+    }
+
+    #[test]
+    fn wakeup_and_round_robin_baselines_run() {
+        let w = run_named(&ScenarioSpec::new("wakeup", 6, 8, 1), 3);
+        assert!(w.result.all_synchronized);
+        assert!(w.leaders >= 1);
+        let r = run_named(&ScenarioSpec::new("round-robin", 6, 8, 1), 3);
+        assert!(r.result.all_synchronized);
+        assert!(r.leaders >= 1);
+    }
+
+    #[test]
+    fn single_frequency_degenerates_under_fixed_band_jamming() {
+        // With frequency 1 permanently jammed, single-frequency contenders
+        // never hear each other: every node wins its own competition and
+        // declares itself leader, and late joiners adopt numbering schemes
+        // that disagree with the early ones.
+        let spec = ScenarioSpec::new("single-frequency", 4, 4, 1)
+            .with_adversary("fixed-band")
+            .with_activation(ActivationSchedule::LateJoiner { late: 3 })
+            .with_max_rounds(2_000);
+        let outcome = run_named(&spec, 5);
+        assert_eq!(outcome.leaders, 4, "every isolated node elects itself");
+        assert!(!outcome.is_clean());
+        assert!(
+            outcome.properties.total_violations > 0,
+            "disagreeing round numbers must be flagged"
+        );
+    }
+
+    #[test]
+    fn identical_seed_identical_outcome() {
+        let spec = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
+        let a = run_named(&spec, 21);
+        let b = run_named(&spec, 21);
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn spec_driven_run_is_deterministic_and_clean() {
@@ -247,6 +321,39 @@ mod tests {
             ),
             Err(SpecError::BadParam { .. })
         ));
+    }
+
+    #[test]
+    fn protocol_constants_the_schedule_cannot_hold_are_typed_errors() {
+        let hostile = [
+            ("trapdoor", "epoch_constant", 1e30),
+            ("trapdoor", "final_epoch_constant", 1e30),
+            ("round-robin", "epoch_constant", 1e30),
+            ("single-frequency", "final_epoch_constant", 1e30),
+            ("good-samaritan", "epoch_constant", 1e30),
+            ("good-samaritan", "fallback_multiplier", 1e30),
+        ];
+        let probabilities = [
+            "trapdoor",
+            "good-samaritan",
+            "wakeup",
+            "round-robin",
+            "single-frequency",
+        ]
+        .map(|protocol| (protocol, "leader_broadcast_probability", 2.0));
+        for (protocol, param, value) in hostile.into_iter().chain(probabilities) {
+            let spec = ScenarioSpec::new(protocol, 4, 8, 2).with_protocol_param(param, value);
+            match Sim::from_spec(&spec) {
+                Err(SpecError::BadParam { param: p, .. }) => assert_eq!(p, param, "{protocol}"),
+                Err(e) => panic!("{protocol}.{param}: unexpected error {e}"),
+                Ok(_) => panic!("{protocol}.{param} = {value} was accepted"),
+            }
+        }
+        // In-range values and large-but-finite schedules still build.
+        let fine = ScenarioSpec::new("good-samaritan", 4, 8, 2)
+            .with_protocol_param("leader_broadcast_probability", 1.0)
+            .with_protocol_param("fallback_multiplier", 1e6);
+        assert!(Sim::from_spec(&fine).is_ok());
     }
 
     #[test]

@@ -21,10 +21,11 @@
 use std::fmt;
 
 use wsync_radio::activation::ActivationSchedule;
+use wsync_radio::engine::SimConfig;
 use wsync_radio::error::ConfigError;
 
 use crate::json::{self, JsonError, Value};
-use crate::runner::Scenario;
+use crate::params::next_power_of_two;
 use crate::sweep::StoppingRule;
 
 /// Error raised while building, decoding, or validating a simulation spec.
@@ -723,8 +724,9 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// A spec running `protocol` on an `(n, F, t)` instance with no
-    /// adversary, simultaneous activation, and the default bounds (the same
-    /// defaults as [`Scenario::new`]).
+    /// adversary, simultaneous activation, and the default bounds (a
+    /// 2 000 000-round cap, 8 extra rounds after synchronization, `N`
+    /// derived from `n`).
     pub fn new(
         protocol: impl Into<ComponentSpec>,
         num_nodes: usize,
@@ -801,44 +803,32 @@ impl ScenarioSpec {
         self
     }
 
-    /// The runtime [`Scenario`] this spec describes (everything except the
-    /// protocol choice, which the registry resolves separately).
-    pub fn scenario(&self) -> Scenario {
-        Scenario {
-            num_nodes: self.num_nodes,
-            num_frequencies: self.num_frequencies,
-            disruption_bound: self.disruption_bound,
-            upper_bound_n: self.upper_bound_n,
-            adversary: self.adversary.clone(),
-            activation: self.activation.clone(),
-            max_rounds: self.max_rounds,
-            extra_rounds_after_sync: self.extra_rounds_after_sync,
-            faults: self.faults.clone(),
-        }
+    /// The effective bound `N` announced to protocols: the explicit
+    /// `upper_bound_n`, or `n.next_power_of_two()`.
+    pub fn upper_bound(&self) -> u64 {
+        self.upper_bound_n
+            .unwrap_or_else(|| next_power_of_two(self.num_nodes as u64))
     }
 
-    /// A spec running `protocol` on an existing runtime [`Scenario`].
-    pub fn from_scenario(scenario: &Scenario, protocol: impl Into<ComponentSpec>) -> Self {
-        ScenarioSpec {
-            protocol: protocol.into(),
-            adversary: scenario.adversary.clone(),
-            probes: Vec::new(),
-            faults: scenario.faults.clone(),
-            activation: scenario.activation.clone(),
-            num_nodes: scenario.num_nodes,
-            num_frequencies: scenario.num_frequencies,
-            disruption_bound: scenario.disruption_bound,
-            upper_bound_n: scenario.upper_bound_n,
-            max_rounds: scenario.max_rounds,
-            extra_rounds_after_sync: scenario.extra_rounds_after_sync,
-        }
+    /// The engine configuration for this spec's instance and bounds.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig::new(self.num_nodes, self.num_frequencies, self.disruption_bound)
+            .with_upper_bound(self.upper_bound())
+            .with_max_rounds(self.max_rounds)
+            .with_extra_rounds_after_sync(self.extra_rounds_after_sync)
+    }
+
+    /// A clone of this spec. Kept only because the end-to-end benchmark
+    /// (`e2e-bench`) still calls it; new code uses the spec directly.
+    pub fn scenario(&self) -> ScenarioSpec {
+        self.clone()
     }
 
     /// Validates the instance parameters (the registry-independent checks).
     /// Name and parameter resolution happen in
     /// [`Sim::from_spec`](crate::sim::Sim::from_spec).
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.scenario().sim_config().validate()?;
+        self.sim_config().validate()?;
         Ok(())
     }
 
@@ -1309,6 +1299,17 @@ mod tests {
             .with_upper_bound(16)
             .with_max_rounds(10_000)
             .with_protocol_param("epoch_constant", 2.5)
+    }
+
+    #[test]
+    fn scenario_defaults() {
+        let s = ScenarioSpec::new("trapdoor", 10, 8, 2);
+        assert_eq!(s.upper_bound(), 16);
+        assert_eq!(s.adversary, ComponentSpec::named("none"));
+        let cfg = s.sim_config();
+        assert_eq!(cfg.num_nodes, 10);
+        assert_eq!(cfg.upper_bound_n, 16);
+        assert!(s.validate().is_ok());
     }
 
     #[test]

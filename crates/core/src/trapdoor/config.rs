@@ -8,7 +8,6 @@
 //! are exposed here and swept by the ablation experiments.
 
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-use crate::problem::ProblemInstance;
 
 /// One row of the Figure 1 schedule: an epoch, its length, and the
 /// per-round broadcast probability used during it.
@@ -69,15 +68,6 @@ impl TrapdoorConfig {
             final_epoch_constant: 6.0,
             leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Creates a configuration from a [`ProblemInstance`].
-    pub fn from_instance(instance: ProblemInstance) -> Self {
-        TrapdoorConfig::new(
-            instance.upper_bound_n,
-            instance.num_frequencies,
-            instance.disruption_bound,
-        )
     }
 
     /// Overrides the regular-epoch constant `c₁`.
@@ -156,8 +146,21 @@ impl TrapdoorConfig {
 
     /// Total number of rounds a contender spends before becoming a leader if
     /// it is never knocked out.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the schedule is longer than `u64::MAX` rounds; the
+    /// registry factories reject such constants up front (see
+    /// [`checked_total_contention_rounds`](Self::checked_total_contention_rounds)).
     pub fn total_contention_rounds(&self) -> u64 {
-        (1..=self.num_epochs()).map(|e| self.epoch_length(e)).sum()
+        self.checked_total_contention_rounds()
+            .expect("the contention schedule fits in u64 rounds")
+    }
+
+    /// [`total_contention_rounds`](Self::total_contention_rounds), or
+    /// `None` when the schedule is longer than `u64::MAX` rounds.
+    pub fn checked_total_contention_rounds(&self) -> Option<u64> {
+        (1..=self.num_epochs()).try_fold(0u64, |total, e| total.checked_add(self.epoch_length(e)))
     }
 
     /// Locates local round `local_round` (0-based, counted from activation)
@@ -184,18 +187,6 @@ impl TrapdoorConfig {
                 broadcast_probability: self.broadcast_probability(epoch),
             })
             .collect()
-    }
-
-    /// The asymptotic upper bound of Theorem 10,
-    /// `F/(F−t)·log²N + F·t/(F−t)·log N`, evaluated without constants.
-    /// Used by the experiments to compare measured times against the
-    /// predicted shape.
-    pub fn theorem10_bound(&self) -> f64 {
-        let f = f64::from(self.num_frequencies);
-        let t = f64::from(self.disruption_bound);
-        let log_n = self.log_n();
-        let denom = (f - t).max(1.0);
-        f / denom * log_n * log_n + f * t / denom * log_n
     }
 }
 
@@ -288,14 +279,6 @@ mod tests {
         // probabilities: 1/N, 2/N, …, 1/4, 1/2 (as fractions of 2N)
         assert!((schedule[0].broadcast_probability - 1.0 / 1024.0).abs() < 1e-12);
         assert!((schedule.last().unwrap().broadcast_probability - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theorem10_bound_is_positive_and_grows_with_t() {
-        let low = TrapdoorConfig::new(256, 16, 1).theorem10_bound();
-        let high = TrapdoorConfig::new(256, 16, 14).theorem10_bound();
-        assert!(low > 0.0);
-        assert!(high > low);
     }
 
     #[test]

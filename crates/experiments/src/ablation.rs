@@ -93,7 +93,7 @@ pub fn a2_frequency_limit(effort: Effort) -> ExperimentReport {
         ],
     );
     let base = ScenarioSpec::new("trapdoor", n_nodes, f, t).with_adversary("random");
-    let paper_limit = TrapdoorConfig::new(base.scenario().upper_bound(), f, t).f_prime();
+    let paper_limit = TrapdoorConfig::new(base.upper_bound(), f, t).f_prime();
     let mut limits: Vec<(String, u32)> = vec![
         (format!("paper F' = min(F,2t) = {paper_limit}"), paper_limit),
         (format!("full band F = {f}"), f),

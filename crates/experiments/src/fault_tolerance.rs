@@ -15,10 +15,16 @@
 //! [`CrashWrapper`] wraps any protocol and silences its radio from a given
 //! local round onwards (the device's clock keeps running, so its output —
 //! if it had one — keeps incrementing, which models a leader whose
-//! transmitter died rather than a full machine wipe).
+//! transmitter died rather than a full machine wipe). FT1 registers the
+//! crash-wrapped Trapdoor Protocol as the `crash-wrapped-trapdoor`
+//! registry protocol and runs it through [`Sim`] like any other spec.
+
+use std::sync::Arc;
 
 use wsync_core::batch::BatchRunner;
-use wsync_core::runner::{run_protocol, Scenario, SyncProtocol};
+use wsync_core::registry::{self, BoxedProtocol, ProtocolCtor, ProtocolFactory, SyncProtocol};
+use wsync_core::sim::Sim;
+use wsync_core::spec::{ComponentSpec, ParamReader, Params, ScenarioSpec, SpecError};
 use wsync_core::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 use wsync_radio::action::Action;
 use wsync_radio::activation::ActivationSchedule;
@@ -95,6 +101,30 @@ impl<P: SyncProtocol> SyncProtocol for CrashWrapper<P> {
     }
 }
 
+/// The registry name of the crash-wrapped Trapdoor Protocol FT1 runs.
+const CRASH_WRAPPED_TRAPDOOR: &str = "crash-wrapped-trapdoor";
+
+/// Builds the Trapdoor Protocol for the spec's instance, with node 0's
+/// radio crashing at local round `crash_round` (a required parameter).
+struct CrashWrappedTrapdoorFactory;
+
+impl ProtocolFactory for CrashWrappedTrapdoorFactory {
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        let mut reader = ParamReader::new(CRASH_WRAPPED_TRAPDOOR, params);
+        let crash_round = reader.req_u64("crash_round")?;
+        reader.finish()?;
+        let config = TrapdoorConfig::new(
+            spec.upper_bound(),
+            spec.num_frequencies,
+            spec.disruption_bound,
+        );
+        Ok(Box::new(move |id: NodeId| {
+            let crash = (id.index() == 0).then_some(crash_round);
+            BoxedProtocol::erase(CrashWrapper::new(TrapdoorProtocol::new(config), crash))
+        }))
+    }
+}
+
 /// FT1 — leader crash: already-synchronized devices keep counting
 /// consistently, but a late joiner elects itself and splits the numbering
 /// (motivating the paper's restart/delayed-output extension).
@@ -127,25 +157,18 @@ pub fn ft1_leader_crash(effort: Effort) -> ExperimentReport {
     let late_activation = crash_at * 3;
     let mut activations: Vec<u64> = (0..n_nodes as u64).map(|i| i * 3).collect();
     activations.push(late_activation);
-    let scenario = Scenario::new(n_nodes + 1, f, t)
+    registry::register_protocol(
+        CRASH_WRAPPED_TRAPDOOR,
+        Arc::new(CrashWrappedTrapdoorFactory),
+    );
+    let protocol = ComponentSpec::named(CRASH_WRAPPED_TRAPDOOR).with("crash_round", crash_at);
+    let spec = ScenarioSpec::new(protocol, n_nodes + 1, f, t)
         .with_upper_bound(64)
         .with_adversary("random")
         .with_activation(ActivationSchedule::Explicit(activations))
         .with_max_rounds(late_activation + 30_000);
-    let outcomes = BatchRunner::new().map(0..seeds, |seed| {
-        run_protocol(
-            &scenario,
-            |id: NodeId| {
-                let crash = if id.index() == 0 {
-                    Some(crash_at)
-                } else {
-                    None
-                };
-                CrashWrapper::new(TrapdoorProtocol::new(config), crash)
-            },
-            seed,
-        )
-    });
+    let sim = Sim::from_spec(&spec).expect("FT1's spec is valid");
+    let outcomes = BatchRunner::new().map(0..seeds, |seed| sim.run_one(seed));
     for (seed, outcome) in outcomes.iter().enumerate() {
         let early_ok = outcome.result.nodes[..n_nodes]
             .iter()

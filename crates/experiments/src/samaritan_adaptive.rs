@@ -3,6 +3,7 @@
 //! adversary disrupting at most `t′ < t` frequencies) and in `O(F·log³N)`
 //! rounds in every execution.
 
+use wsync_analysis::formulas::Bounds;
 use wsync_core::good_samaritan::GoodSamaritanConfig;
 use wsync_core::spec::{ComponentSpec, ScenarioSpec};
 use wsync_core::sweep::SweepRunner;
@@ -89,9 +90,10 @@ pub fn t18a_adaptive(effort: Effort) -> ExperimentReport {
                 ComponentSpec::named("oblivious-random").with("t_actual", u64::from(t_actual)),
             )
             .with_activation(ActivationSchedule::Simultaneous);
-        let config = GoodSamaritanConfig::new(spec.scenario().upper_bound(), f, t);
+        let n = spec.upper_bound();
+        let config = GoodSamaritanConfig::new(n, f, t);
         let (summary, optimistic, clean) = measure_samaritan(&spec, config, seeds);
-        let expr = config.theorem18_optimistic_bound(t_actual);
+        let expr = Bounds::new(n, f, t).theorem18_optimistic(t_actual);
         measured.push(summary.mean);
         predicted.push(expr);
         table.push_row(vec![
@@ -150,9 +152,10 @@ pub fn t18b_fallback(effort: Effort) -> ExperimentReport {
             .with_adversary("random")
             .with_activation(ActivationSchedule::Staggered { gap: 37 })
             .with_max_rounds(4_000_000);
-        let config = GoodSamaritanConfig::new(spec.scenario().upper_bound(), f, t);
+        let n = spec.upper_bound();
+        let config = GoodSamaritanConfig::new(n, f, t);
         let (summary, _optimistic, clean) = measure_samaritan(&spec, config, seeds);
-        let bound = config.theorem18_fallback_bound();
+        let bound = Bounds::new(n, f, t).theorem18_fallback();
         table.push_row(vec![
             f.to_string(),
             fmt(summary.mean),

@@ -9,7 +9,7 @@
 
 use wsync_core::batch::BatchRunner;
 use wsync_core::registry;
-use wsync_core::runner::Scenario;
+use wsync_core::spec::ScenarioSpec;
 use wsync_core::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 use wsync_radio::engine::Engine;
 use wsync_stats::Table;
@@ -18,7 +18,9 @@ use crate::output::{fmt, Effort, ExperimentReport};
 
 /// Runs one Trapdoor execution and returns the maximum broadcast weight
 /// observed over all rounds, together with the number of rounds executed.
-pub fn max_broadcast_weight(scenario: &Scenario, seed: u64) -> (f64, u64) {
+/// The spec's instance, adversary, activation schedule and round cap apply;
+/// its protocol is ignored (the weight is a Trapdoor quantity).
+pub fn max_broadcast_weight(scenario: &ScenarioSpec, seed: u64) -> (f64, u64) {
     let config = TrapdoorConfig::new(
         scenario.upper_bound(),
         scenario.num_frequencies,
@@ -78,7 +80,7 @@ pub fn l9_weight_bound(effort: Effort) -> ExperimentReport {
     let bound = 6.0 * f64::from(f_prime);
     let mut worst_ratio: f64 = 0.0;
     for &n in &ns {
-        let scenario = Scenario::new(n, f, t)
+        let scenario = ScenarioSpec::new("trapdoor", n, f, t)
             .with_adversary("random")
             .with_activation(wsync_radio::activation::ActivationSchedule::Batches {
                 batch_size: (n / 4).max(1),
@@ -120,7 +122,7 @@ mod tests {
 
     #[test]
     fn max_weight_positive_for_nontrivial_run() {
-        let scenario = Scenario::new(8, 8, 2).with_adversary("random");
+        let scenario = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
         let (w, rounds) = max_broadcast_weight(&scenario, 1);
         assert!(w > 0.0);
         assert!(rounds > 0);

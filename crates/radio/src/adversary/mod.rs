@@ -192,6 +192,32 @@ pub trait Adversary {
     }
 }
 
+/// A boxed adversary is an adversary, so an adversary chosen at run time
+/// (`Box<dyn Adversary>`) drives the statically typed engine directly.
+impl<A: Adversary + ?Sized> Adversary for Box<A> {
+    fn budget(&self) -> u32 {
+        (**self).budget()
+    }
+
+    fn max_lookback(&self) -> Option<usize> {
+        (**self).max_lookback()
+    }
+
+    fn disrupt(
+        &mut self,
+        round: u64,
+        band: FrequencyBand,
+        history: &History,
+        rng: &mut SimRng,
+    ) -> DisruptionSet {
+        (**self).disrupt(round, band, history, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// Utility used by several adversaries: select the indices of the `t`
 /// largest weights (ties broken towards lower indices), returned as a
 /// [`DisruptionSet`].

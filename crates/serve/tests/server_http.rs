@@ -209,6 +209,32 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
 }
 
 #[test]
+fn run_rejects_protocol_constants_the_schedule_cannot_hold() {
+    let addr = start_server("run-hostile");
+    for (protocol, param, value) in [
+        ("trapdoor", "epoch_constant", "1e30"),
+        ("trapdoor", "final_epoch_constant", "1e30"),
+        ("round-robin", "epoch_constant", "1e30"),
+        ("good-samaritan", "epoch_constant", "1e30"),
+        ("good-samaritan", "fallback_multiplier", "1e30"),
+        ("trapdoor", "leader_broadcast_probability", "2.0"),
+        ("good-samaritan", "leader_broadcast_probability", "2.0"),
+        ("wakeup", "leader_broadcast_probability", "2.0"),
+    ] {
+        let hostile = RUN_BODY.replace(
+            "\"trapdoor\"",
+            &format!(r#"{{"name": "{protocol}", "params": {{"{param}": {value}}}}}"#),
+        );
+        let (status, body) = post(addr, "/run", &hostile);
+        assert_eq!(
+            status, "HTTP/1.1 400 Bad Request",
+            "{protocol}.{param}: {body}"
+        );
+        assert!(body.contains(param), "{protocol}.{param}: {body}");
+    }
+}
+
+#[test]
 fn sweep_schedules_a_job_that_streams_json_lines_to_done() {
     let addr = start_server("sweep-job");
 

@@ -64,7 +64,7 @@ fn main() -> std::result::Result<(), SpecError> {
 
 fn trapdoor_f_prime(spec: &ScenarioSpec) -> u32 {
     wireless_sync::sync::trapdoor::TrapdoorConfig::new(
-        spec.scenario().upper_bound(),
+        spec.upper_bound(),
         spec.num_frequencies,
         spec.disruption_bound,
     )

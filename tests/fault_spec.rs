@@ -196,8 +196,11 @@ fn fault_free_wire_form_is_unchanged_by_the_feature() {
 
     // …and declaring-then-sweeping doesn't resurrect the key: only specs
     // that *declare* layers carry it.
-    let from_scenario = ScenarioSpec::from_scenario(&plain.scenario(), "trapdoor");
-    assert!(!from_scenario.to_json().contains("faults"));
+    let rebuilt = ScenarioSpec {
+        protocol: ComponentSpec::named("trapdoor"),
+        ..plain.clone()
+    };
+    assert!(!rebuilt.to_json().contains("faults"));
 }
 
 #[test]

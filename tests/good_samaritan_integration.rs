@@ -28,7 +28,7 @@ fn good_execution_terminates_in_optimistic_portion() {
         .with_max_rounds(400_000);
     // The default factory parameters mirror GoodSamaritanConfig::new, so the
     // schedule thresholds can be computed from the same config.
-    let config = GoodSamaritanConfig::new(spec.scenario().upper_bound(), f, t);
+    let config = GoodSamaritanConfig::new(spec.upper_bound(), f, t);
 
     let mut optimistic_wins = 0;
     let trials = 5;

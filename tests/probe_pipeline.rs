@@ -14,7 +14,6 @@ use wireless_sync::radio::engine::Engine;
 use wireless_sync::radio::frequency::FrequencyBand;
 use wireless_sync::radio::history::History;
 use wireless_sync::sync::registry;
-use wireless_sync::sync::runner::BoxedAdversary;
 use wireless_sync::sync::store::spec_digest;
 
 type BoxedProtocol = wireless_sync::sync::registry::BoxedProtocol;
@@ -22,7 +21,7 @@ type BoxedProtocol = wireless_sync::sync::registry::BoxedProtocol;
 /// Builds a registry-resolved engine for `(spec, seed)` — the same wiring
 /// `Sim::run_one` uses, exposed so tests can attach probes and inspect the
 /// engine afterwards.
-fn engine_for(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, BoxedAdversary> {
+fn engine_for(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, Box<dyn Adversary>> {
     engine_with(spec, seed, |adversary| adversary)
 }
 
@@ -30,19 +29,18 @@ fn engine_for(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, BoxedAdve
 fn engine_with<A: Adversary>(
     spec: &ScenarioSpec,
     seed: u64,
-    wrap: impl FnOnce(BoxedAdversary) -> A,
+    wrap: impl FnOnce(Box<dyn Adversary>) -> A,
 ) -> Engine<BoxedProtocol, A> {
-    let scenario = spec.scenario();
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
-        .instantiate(&scenario, &spec.protocol.params)
+        .instantiate(spec, &spec.protocol.params)
         .unwrap();
-    let adversary = registry::build_adversary(&spec.adversary, &scenario, seed).unwrap();
+    let adversary = registry::build_adversary(&spec.adversary, spec, seed).unwrap();
     Engine::new(
-        scenario.sim_config(),
+        spec.sim_config(),
         &*ctor,
         wrap(adversary),
-        scenario.activation.clone(),
+        spec.activation.clone(),
         seed,
     )
     .unwrap()

@@ -64,15 +64,19 @@ fn registry_names_are_stable() {
 
 #[test]
 fn checked_in_example_specs_parse_and_round_trip() {
-    for path in [
-        "examples/specs/quickstart.json",
-        "examples/specs/jamming_sweep.json",
-        "examples/specs/samaritan_crossover.json",
-        "examples/specs/resumable_sweep.json",
-        "examples/specs/probed_run.json",
-        "examples/specs/faulty_run.json",
-    ] {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut paths: Vec<_> = std::fs::read_dir("examples/specs")
+        .expect("examples/specs is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 7,
+        "expected every example spec, found {paths:?}"
+    );
+    for file in &paths {
+        let path = file.display();
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{path}: {e}"));
         let file = wireless_sync::experiments::SpecFile::parse(&text)
             .unwrap_or_else(|e| panic!("{path}: {e}"));
         match file {

@@ -14,7 +14,6 @@ use wireless_sync::prelude::*;
 use wireless_sync::radio::trace::NodeView;
 use wireless_sync::sync::checker::MAX_RECORDED;
 use wireless_sync::sync::registry::{self, BoxedProtocol};
-use wireless_sync::sync::runner::BoxedAdversary;
 
 /// What [`run_checked`] observed.
 #[derive(Debug)]
@@ -50,23 +49,22 @@ pub fn run_checked<P: Protocol, A: Adversary>(mut engine: Engine<P, A>) -> Check
 /// The engine `Sim::run_one` builds for `(spec, seed)`: registry-resolved
 /// protocol and adversary, and the spec's fault layers in declaration
 /// order.
-pub fn spec_engine(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, BoxedAdversary> {
-    let scenario = spec.scenario();
+pub fn spec_engine(spec: &ScenarioSpec, seed: u64) -> Engine<BoxedProtocol, Box<dyn Adversary>> {
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
-        .instantiate(&scenario, &spec.protocol.params)
+        .instantiate(spec, &spec.protocol.params)
         .unwrap();
-    let adversary = registry::build_adversary(&spec.adversary, &scenario, seed).unwrap();
+    let adversary = registry::build_adversary(&spec.adversary, spec, seed).unwrap();
     let mut engine = Engine::new(
-        scenario.sim_config(),
+        spec.sim_config(),
         &*ctor,
         adversary,
-        scenario.activation.clone(),
+        spec.activation.clone(),
         seed,
     )
     .unwrap();
     for fault in &spec.faults {
-        engine.attach_fault(registry::build_fault(fault, &scenario).unwrap());
+        engine.attach_fault(registry::build_fault(fault, spec).unwrap());
     }
     engine
 }

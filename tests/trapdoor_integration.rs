@@ -97,7 +97,7 @@ fn termination_stays_within_a_constant_of_theorem_10() {
     let mut max_ratio: f64 = 0.0;
     for (n_nodes, f, t) in [(8usize, 8u32, 2u32), (16, 16, 8), (32, 16, 12), (16, 32, 4)] {
         let spec = ScenarioSpec::new("trapdoor", n_nodes, f, t).with_adversary("random");
-        let bound = Bounds::new(spec.scenario().upper_bound(), f, t).theorem10();
+        let bound = Bounds::new(spec.upper_bound(), f, t).theorem10();
         for seed in 0..3u64 {
             let outcome = run(&spec, seed);
             let rounds = outcome.max_rounds_to_sync().expect("must synchronize") as f64;
@@ -117,7 +117,7 @@ fn earliest_activated_node_becomes_the_leader() {
     // out and therefore becomes the leader. This needs direct access to the
     // protocol instances, so it drives the engine itself (the statically
     // typed escape hatch) while still resolving the adversary by name.
-    let scenario = Scenario::new(10, 8, 3)
+    let scenario = ScenarioSpec::new("trapdoor", 10, 8, 3)
         .with_adversary("random")
         .with_activation(ActivationSchedule::Staggered { gap: 17 });
     for seed in 10..16u64 {
